@@ -23,7 +23,6 @@ from .operators import (
     OpClass,
     UndefinedOperatorError,
     commutator,
-    is_zero_or_undefined,
     k0_diff,
     k0_prime_composed,
     k0_prime_simplified,
@@ -37,7 +36,6 @@ from .plot import render_plot
 from .scalars import (
     NotRationalError,
     RadicalScalar,
-    Rational,
     sqrt_of_rational,
 )
 from .scan import (
@@ -87,7 +85,6 @@ __all__ = [
     "OpClass",
     "PhysicalParams",
     "QuantumNumbers",
-    "Rational",
     "RadicalScalar",
     "ScanReport",
     "SignClass",
@@ -102,7 +99,6 @@ __all__ = [
     "eigenvalue_three",
     "eigenvalue_two",
     "extract_eigenvalue",
-    "is_zero_or_undefined",
     "k0_diff",
     "k0_prime_composed",
     "k0_prime_simplified",

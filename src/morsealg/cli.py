@@ -124,10 +124,6 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _outcome_str(outcome: LadderOutcome) -> str:
-    return outcome.value
-
-
 def _cmd_cell(args: argparse.Namespace) -> int:
     if args.n < 0 or args.v < 0:
         return _fail_usage("--n and --v must be non-negative")
@@ -165,8 +161,8 @@ def _cmd_cell(args: argparse.Namespace) -> int:
         print(f"unshifted commutator 1/y^2 coefficient: {naive_commutator_coefficient(s)}")
     else:
         print("unshifted commutator: undefined at s = 0")
-    print(f"lowering: {_outcome_str(verify_lowering(n, v))}")
-    print(f"raising: {_outcome_str(verify_raising(n, v))}")
+    print(f"lowering: {verify_lowering(n, v).value}")
+    print(f"raising: {verify_raising(n, v).value}")
     return 0
 
 
@@ -178,8 +174,8 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
             return _fail_usage("--n and --v must be non-negative")
         low = verify_lowering(args.n, args.v)
         high = verify_raising(args.n, args.v)
-        print(f"lowering ({args.n}, {args.v}): {_outcome_str(low)}")
-        print(f"raising ({args.n}, {args.v}): {_outcome_str(high)}")
+        print(f"lowering ({args.n}, {args.v}): {low.value}")
+        print(f"raising ({args.n}, {args.v}): {high.value}")
         return 1 if LadderOutcome.FAILS in (low, high) else 0
     if args.v_max < 0:
         return _fail_usage("--v-max must be non-negative")

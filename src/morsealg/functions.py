@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, RadicalScalar
+from .scalars import ONE, ZERO, RadicalScalar, accumulate
 
 ScalarLike = RadicalScalar | Fraction | int
 
@@ -108,18 +108,7 @@ class LaurentPoly:
             return other
         if not other._coeffs:
             return self
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            t = out.get(e)
-            if t is None:
-                out[e] = c
-            else:
-                t = t + c
-                if t:
-                    out[e] = t
-                else:
-                    del out[e]
-        return LaurentPoly._raw(out)
+        return LaurentPoly._raw(accumulate(dict(self._coeffs), other._coeffs.items()))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -131,22 +120,13 @@ class LaurentPoly:
             return self.scaled(other)
         if not self._coeffs or not other._coeffs:
             return _ZERO_POLY
-        out: dict[int, RadicalScalar] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                c = c1 * c2
-                t = out.get(e)
-                if t is None:
-                    if c:
-                        out[e] = c
-                else:
-                    t = t + c
-                    if t:
-                        out[e] = t
-                    else:
-                        del out[e]
-        return LaurentPoly._raw(out)
+        # a product of nonzero scalars is nonzero, so every term is kept
+        terms = [
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self._coeffs.items()
+            for e2, c2 in other._coeffs.items()
+        ]
+        return LaurentPoly._raw(accumulate({}, terms))
 
     def __rmul__(self, other: ScalarLike) -> LaurentPoly:
         return self.scaled(other)
@@ -217,31 +197,11 @@ class WeightedFunction:
 
     def derivative(self) -> WeightedFunction:
         """d/dy by the product rule; the weight exponent s is unchanged."""
-        out: dict[int, RadicalScalar] = {}
         s = self.s
-        for e, c in self.poly.items():
-            # P' + (s/y)P contributes c*(e+s) at e-1; -P/2 contributes at e
-            a = c * (e + s)
-            if a:
-                t = out.get(e - 1)
-                if t is None:
-                    out[e - 1] = a
-                else:
-                    t = t + a
-                    if t:
-                        out[e - 1] = t
-                    else:
-                        del out[e - 1]
-            b = c * _MINUS_HALF
-            t = out.get(e)
-            if t is None:
-                out[e] = b
-            else:
-                t = t + b
-                if t:
-                    out[e] = t
-                else:
-                    del out[e]
+        items = self.poly.items()
+        # -P/2 contributes at e; P' + (s/y)P contributes c*(e+s) at e-1
+        out = {e: c * _MINUS_HALF for e, c in items}
+        accumulate(out, [(e - 1, a) for e, c in items if (a := c * (e + s))])
         return WeightedFunction(s, LaurentPoly._raw(out))
 
     def __add__(self, other: WeightedFunction) -> WeightedFunction:

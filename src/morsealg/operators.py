@@ -15,10 +15,9 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import Callable
 
 from .functions import LaurentPoly, ScalarLike, WeightedFunction
-from .scalars import RadicalScalar, sqrt_of_rational
+from .scalars import RadicalScalar, accumulate, sqrt_of_rational
 
 
 class UndefinedOperatorError(ZeroDivisionError):
@@ -102,18 +101,7 @@ class DiffOp:
     def __add__(self, other: DiffOp) -> DiffOp:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        out = dict(self._terms)
-        for k, p in other._terms.items():
-            t = out.get(k)
-            if t is None:
-                out[k] = p
-            else:
-                t = t + p
-                if t:
-                    out[k] = t
-                else:
-                    del out[k]
-        return DiffOp._raw(out)
+        return DiffOp._raw(accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: DiffOp) -> DiffOp:
         if not isinstance(other, DiffOp):
@@ -142,7 +130,8 @@ class DiffOp:
 
     def compose(self, other: DiffOp) -> DiffOp:
         """Exact composition self after other, by the Leibniz expansion."""
-        out: dict[int, LaurentPoly] = {}
+        # a product of nonzero polynomials is nonzero, so every term is kept
+        terms: list[tuple[int, LaurentPoly]] = []
         for j, aj in self._terms.items():
             for k, bk in other._terms.items():
                 bder = bk
@@ -150,22 +139,12 @@ class DiffOp:
                     c = aj * bder
                     if math.comb(j, i) != 1:
                         c = c.scaled(math.comb(j, i))
-                    if c:
-                        order = j - i + k
-                        t = out.get(order)
-                        if t is None:
-                            out[order] = c
-                        else:
-                            t = t + c
-                            if t:
-                                out[order] = t
-                            else:
-                                del out[order]
+                    terms.append((j - i + k, c))
                     if i < j:
                         bder = bder.derivative()
                         if not bder:
                             break
-        return DiffOp._raw(out)
+        return DiffOp._raw(accumulate({}, terms))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -228,18 +207,6 @@ def k_plus(s: Fraction, v: Fraction | int) -> DiffOp:
     )
 
 
-def k0_diff(s: Fraction, n: Fraction | int) -> DiffOp:
-    """Diagonal operator y d2/dy2 + d/dy - s^2/y - y/4 + (n + 1/2)."""
-    s = Fraction(s)
-    return DiffOp(
-        {
-            2: LaurentPoly({1: 1}),
-            1: LaurentPoly({0: 1}),
-            0: LaurentPoly({-1: -(s * s), 1: Fraction(-1, 4), 0: Fraction(n) + Fraction(1, 2)}),
-        }
-    )
-
-
 def schrodinger_diff(s: Fraction, v: Fraction | int) -> DiffOp:
     """The operator y d2/dy2 + d/dy - s^2/y - y/4 + v/2, which kills the state."""
     s = Fraction(s)
@@ -250,6 +217,14 @@ def schrodinger_diff(s: Fraction, v: Fraction | int) -> DiffOp:
             0: LaurentPoly({-1: -(s * s), 1: Fraction(-1, 4), 0: Fraction(v, 2)}),
         }
     )
+
+
+def k0_diff(s: Fraction, n: Fraction | int) -> DiffOp:
+    """Diagonal operator y d2/dy2 + d/dy - s^2/y - y/4 + (n + 1/2).
+
+    The stationary-equation operator at depth v = 2n + 1.
+    """
+    return schrodinger_diff(s, 2 * n + 1)
 
 
 def k0_prime_simplified(s: Fraction, v: Fraction | int) -> DiffOp:
@@ -311,11 +286,3 @@ def naive_commutator_coefficient(s: Fraction) -> RadicalScalar:
     pref = sqrt_of_rational(Fraction(s - 1, s)) * sqrt_of_rational(Fraction(s + 1, s))
     return pref * (2 * s * (1 - 4 * s * s))
 
-
-def is_zero_or_undefined(build: Callable[[], DiffOp]) -> OpClass:
-    """Classify a constructor call: Undefined if it raises, Zero if empty."""
-    try:
-        op = build()
-    except UndefinedOperatorError:
-        return OpClass.UNDEFINED
-    return OpClass.ZERO if op.is_zero else OpClass.PROPER

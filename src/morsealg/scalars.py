@@ -13,8 +13,6 @@ import math
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -26,6 +24,26 @@ _TERM_RE = re.compile(r"^(i\*)?(-?\d+(?:/\d+)?)(?:\*sqrt\((\d+)\))?$")
 
 class NotRationalError(ArithmeticError):
     """The scalar has an irreducible radical or imaginary part."""
+
+
+def accumulate(out: dict, items) -> dict:
+    """Add each (key, value) of items into out, dropping keys that cancel to 0.
+
+    The one accumulation loop of the exact algebra: scalars, polynomials and
+    operators all keep their normal form (no zero stored) through it.  Values
+    must be nonzero; items is a dict view or a list.  Returns out.
+    """
+    for k, x in items:
+        t = out.get(k)
+        if t is None:
+            out[k] = x
+        else:
+            t = t + x
+            if t:
+                out[k] = t
+            else:
+                del out[k]
+    return out
 
 
 def _squarefree(n: int) -> tuple[int, int]:
@@ -124,18 +142,7 @@ class RadicalScalar:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
-        for k, q in other._terms.items():
-            t = out.get(k)
-            if t is None:
-                out[k] = q
-            else:
-                t = t + q
-                if t:
-                    out[k] = t
-                else:
-                    del out[k]
-        return RadicalScalar._raw(out)
+        return RadicalScalar._raw(accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -165,7 +172,7 @@ class RadicalScalar:
         if len(a) == 1 and _RATIONAL_KEY in a:
             q = a[_RATIONAL_KEY]
             return RadicalScalar._raw({k: p * q for k, p in b.items()})
-        out: dict[tuple[int, int], Fraction] = {}
+        products: list[tuple[tuple[int, int], Fraction]] = []
         for (r1, m1), q1 in a.items():
             for (r2, m2), q2 in b.items():
                 q = q1 * q2
@@ -179,16 +186,8 @@ class RadicalScalar:
                     g = math.gcd(r1, r2)
                     key = ((r1 // g) * (r2 // g), (m1 + m2) % 2)
                     q *= g
-                t = out.get(key)
-                if t is None:
-                    out[key] = q
-                else:
-                    t = t + q
-                    if t:
-                        out[key] = t
-                    else:
-                        del out[key]
-        return RadicalScalar._raw(out)
+                products.append((key, q))
+        return RadicalScalar._raw(accumulate({}, products))
 
     __rmul__ = __mul__
 

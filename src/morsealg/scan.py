@@ -19,7 +19,6 @@ from .model import make_quantum_numbers, make_state
 from .operators import (
     DiffOp,
     OpClass,
-    is_zero_or_undefined,
     k0_prime_composed,
     k0_prime_simplified,
     naive_commutator,
@@ -43,8 +42,7 @@ class CellRecord:
     """One grid cell: classification, the three eigenvalues, equality flags.
 
     ev1 is the closed-form shifted commutator's action, ev2 the doubled
-    diagonal-operator action, ev3 the algebraic prediction 2n - v + 1; k0 is
-    the undoubled diagonal eigenvalue, kept for transparency.
+    diagonal-operator action, ev3 the algebraic prediction 2n - v + 1.
     """
 
     n: int
@@ -55,10 +53,14 @@ class CellRecord:
     ev1: EigenResult
     ev2: EigenResult
     ev3: Fraction
-    k0: Fraction
     equal_12: bool
     equal_13: bool
     all_equal: bool
+
+    @property
+    def k0(self) -> Fraction:
+        """The undoubled diagonal eigenvalue, kept in reports for transparency."""
+        return self.ev3 / 2
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,6 @@ class Summary:
 class ScanReport:
     n_max: int
     v_max: int
-    beta: Fraction
     cells: tuple[CellRecord, ...]
     summary: Summary
 
@@ -87,7 +88,8 @@ def compute_cell(n: int, v: int) -> CellRecord:
     qn = make_quantum_numbers(n, v)
     s = qn.s
     sign = SignClass.NON_NEGATIVE if s >= 0 else SignClass.NEGATIVE
-    op_class = is_zero_or_undefined(lambda: k0_prime_simplified(s, v))
+    # k0_prime_simplified is the zero operator exactly at s = 0
+    op_class = OpClass.ZERO if s == 0 else OpClass.PROPER
     ev1 = eigenvalue_one(n, v)
     ev2 = eigenvalue_two(n, v)
     ev3 = eigenvalue_three(n, v)
@@ -102,7 +104,6 @@ def compute_cell(n: int, v: int) -> CellRecord:
         ev1=ev1,
         ev2=ev2,
         ev3=ev3,
-        k0=ev3 / 2,
         equal_12=equal_12,
         equal_13=equal_13,
         all_equal=equal_12 and equal_13,
@@ -158,7 +159,7 @@ def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
         for n in range(n_max + 1):
             cells.extend(_row_cells(n, v_max))
     cells_t = tuple(cells)
-    return ScanReport(n_max, v_max, Fraction(1), cells_t, summarize(cells_t))
+    return ScanReport(n_max, v_max, cells_t, summarize(cells_t))
 
 
 def _bool_str(b: bool) -> str:
@@ -213,7 +214,7 @@ def write_report(report: ScanReport, format: str, path) -> None:
         doc = {
             "n_max": report.n_max,
             "v_max": report.v_max,
-            "beta": str(report.beta),
+            "beta": "1",  # scans run at unit inverse width
             "summary": {
                 "total": report.summary.total,
                 "op_class": report.summary.op_class_counts,
@@ -250,7 +251,6 @@ def _cell_from_json(doc: dict) -> CellRecord:
         ev1=_eigen_from_strings(doc["ev1"], doc["ev1_status"]),
         ev2=_eigen_from_strings(doc["ev2"], doc["ev2_status"]),
         ev3=Fraction(doc["ev3"]),
-        k0=Fraction(doc["k0"]),
         equal_12=bool(doc["equal_12"]),
         equal_13=bool(doc["equal_13"]),
         all_equal=bool(doc["all_equal"]),
@@ -261,17 +261,15 @@ def _cell_from_csv(line: str) -> CellRecord:
     parts = line.split(",")
     if len(parts) != 13:
         raise ValueError(f"malformed report row: {line!r}")
-    n, v = int(parts[0]), int(parts[1])
     return CellRecord(
-        n=n,
-        v=v,
+        n=int(parts[0]),
+        v=int(parts[1]),
         s=Fraction(parts[2]),
         s_sign=SignClass(parts[3]),
         op_class=OpClass(parts[4]),
         ev1=_eigen_from_strings(parts[5], parts[6]),
         ev2=_eigen_from_strings(parts[7], parts[8]),
         ev3=Fraction(parts[9]),
-        k0=Fraction(2 * n - v + 1, 2),
         equal_12=parts[10] == "true",
         equal_13=parts[11] == "true",
         all_equal=parts[12] == "true",
@@ -279,29 +277,24 @@ def _cell_from_csv(line: str) -> CellRecord:
 
 
 def read_report(path) -> ScanReport:
-    """Load a report written by write_report, sniffing JSON versus CSV."""
+    """Load a report written by write_report, sniffing JSON versus CSV.
+
+    The summary and k0 are derived from the cells, never read from the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
         cells = tuple(_cell_from_json(c) for c in doc["cells"])
-        summary = Summary(
-            total=int(doc["summary"]["total"]),
-            op_class_counts={k: int(x) for k, x in doc["summary"]["op_class"].items()},
-            sign_counts={k: int(x) for k, x in doc["summary"]["s_sign"].items()},
-            all_equal_proper=int(doc["summary"]["all_equal_proper"]),
-            all_equal_trivial=int(doc["summary"]["all_equal_trivial"]),
-            mismatches=tuple((int(a), int(b)) for a, b in doc["summary"]["mismatches"]),
-        )
-        return ScanReport(int(doc["n_max"]), int(doc["v_max"]), Fraction(doc["beta"]), cells, summary)
+        return ScanReport(int(doc["n_max"]), int(doc["v_max"]), cells, summarize(cells))
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("not a recognized report file")
     cells = tuple(_cell_from_csv(ln) for ln in lines[1:])
     n_max = max((c.n for c in cells), default=0)
     v_max = max((c.v for c in cells), default=0)
-    return ScanReport(n_max, v_max, Fraction(1), cells, summarize(cells))
+    return ScanReport(n_max, v_max, cells, summarize(cells))
 
 
 @dataclass(frozen=True)

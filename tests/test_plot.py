@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -106,7 +105,7 @@ def test_rejects_unknown_mode(tmp_path):
 
 
 def test_rejects_empty_report(tmp_path):
-    empty = ScanReport(0, 0, Fraction(1), (), summarize(()))
+    empty = ScanReport(0, 0, (), summarize(()))
     with pytest.raises(ValueError):
         render_plot(empty, "sign", tmp_path / "x.svg")
 

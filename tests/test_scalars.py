@@ -153,17 +153,18 @@ def test_distributive(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(radical_scalars())
-def test_normal_form_invariants(a):
-    for (r, m), q in a.terms.items():
-        assert r >= 1
-        assert m in (0, 1)
-        assert q != 0
-        # radicand squarefree: no prime square divides it
-        d = 2
-        while d * d <= r:
-            assert r % (d * d) != 0
-            d += 1
+@given(radical_scalars(), radical_scalars())
+def test_normal_form_invariants(a, b):
+    for x in (a, a + b, a - a, (a + b) - b, a * b):
+        for (r, m), q in x.terms.items():
+            assert r >= 1
+            assert m in (0, 1)
+            assert q != 0
+            # radicand squarefree: no prime square divides it
+            d = 2
+            while d * d <= r:
+                assert r % (d * d) != 0
+                d += 1
 
 
 @settings(max_examples=60, deadline=None)

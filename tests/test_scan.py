@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,27 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "report.json"
     write_report(report, "json", path)
     assert read_report(path) == report
+
+
+def test_read_report_rederives_json_summary_and_k0(tmp_path):
+    report = scan(3, 6)
+    path = tmp_path / "report.json"
+    write_report(report, "json", path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["summary"] = {
+        "total": 999,
+        "op_class": {"Proper": 0, "Zero": 0, "Undefined": 7},
+        "s_sign": {"NonNegative": 1, "Negative": 1},
+        "all_equal_proper": 0,
+        "all_equal_trivial": 0,
+        "mismatches": [[0, 0]],
+    }
+    doc["cells"][5]["k0"] = "123"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = read_report(path)
+    assert loaded.summary == report.summary == summarize(loaded.cells)
+    assert loaded.cells[5].k0 == loaded.cells[5].ev3 / 2 == report.cells[5].k0
+    assert loaded == report
 
 
 def test_csv_round_trip_preserves_cells(tmp_path):
