@@ -1,25 +1,56 @@
 """Laurent polynomials in y and the weighted family exp(-y/2) * y^s * P(y).
 
-Both carry exact :class:`~morsealg.scalars.RadicalScalar` coefficients.  The
-weight exp(-y/2)*y^s is never expanded: differentiation and multiplication by
-Laurent coefficients keep a function inside the family, so every operator
-application below stays exact.
+A polynomial is stored as integer numerators over one positive denominator,
+times one radical unit i^m * sqrt(r) shared by every coefficient, so all of
+its arithmetic runs on Python ints; ``coeff`` and ``items`` hand the
+coefficients out as exact :class:`~morsealg.scalars.RadicalScalar` values.
+The weight exp(-y/2)*y^s is never expanded: differentiation and
+multiplication by Laurent coefficients keep a function inside the family, so
+every operator application below stays exact.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, RadicalScalar, accumulate
+from .scalars import ZERO, RadicalScalar, accumulate
 
 ScalarLike = RadicalScalar | Fraction | int
 
+# the radical unit i^m * sqrt(r) as (r, m); (1, 0) is the rational unit
+Unit = tuple[int, int]
+_RATIONAL: Unit = (1, 0)
 
-def _as_scalar(c: ScalarLike) -> RadicalScalar:
-    return c if isinstance(c, RadicalScalar) else RadicalScalar(c)
+
+def _split(c: ScalarLike) -> tuple[int, int, Unit]:
+    """c as numerator / denominator * unit, the denominator positive.
+
+    ArithmeticError for a sum of two or more radical terms.
+    """
+    if isinstance(c, int):
+        return c, 1, _RATIONAL
+    if not isinstance(c, RadicalScalar):
+        q = c if isinstance(c, Fraction) else Fraction(c)
+        return q.numerator, q.denominator, _RATIONAL
+    terms = c.terms
+    if not terms:
+        return 0, 1, _RATIONAL
+    if len(terms) > 1:
+        raise ArithmeticError(f"coefficient {c} is not a single radical term")
+    ((unit, q),) = terms.items()
+    return q.numerator, q.denominator, unit
+
+
+def _unit_mul(u: Unit, w: Unit) -> tuple[int, Unit]:
+    """u*w as k * unit with k an integer, as in RadicalScalar multiplication."""
+    (r1, m1), (r2, m2) = u, w
+    # r1, r2 squarefree: sqrt(r1)sqrt(r2) = g*sqrt(r1r2/g^2); i*i = -1
+    g = math.gcd(r1, r2)
+    return (-g if m1 and m2 else g), ((r1 // g) * (r2 // g), m1 ^ m2)
 
 
 class Comparison(enum.Enum):
@@ -29,24 +60,53 @@ class Comparison(enum.Enum):
 
 
 class LaurentPoly:
-    """Finite sum of c*y^k terms, k any integer; zero coefficients dropped."""
+    """Finite sum of c*y^k terms, k any integer; zero coefficients dropped.
 
-    __slots__ = ("_coeffs",)
+    Normal form: numerators {k: int} with no zero stored, a denominator
+    den > 0 with gcd(den, *numerators) == 1, and the unit (r, m) of
+    i^m * sqrt(r) with r squarefree; the zero polynomial has den 1 and the
+    rational unit.  Every coefficient is numerator / den * unit, so adding
+    polynomials whose nonzero units differ raises ArithmeticError.
+    """
+
+    __slots__ = ("_num", "_den", "_unit")
 
     def __init__(self, coeffs: dict[int, ScalarLike] | None = None):
-        out: dict[int, RadicalScalar] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = _as_scalar(c)
-                if c:
-                    out[e] = c
-        self._coeffs = out
+        terms: list[tuple[int, int, int]] = []
+        unit = _RATIONAL
+        for e, c in (coeffs or {}).items():
+            a, b, u = _split(c)
+            if not a:
+                continue
+            if terms and u != unit:
+                raise ArithmeticError("coefficients carry different radical units")
+            terms.append((e, a, b))
+            unit = u
+        # over the lcm of reduced denominators the numerators share no factor
+        den = math.lcm(*(b for _, _, b in terms))
+        self._num = {e: a * (den // b) for e, a, b in terms}
+        self._den = den
+        self._unit = unit
 
     @classmethod
-    def _raw(cls, coeffs: dict[int, RadicalScalar]) -> LaurentPoly:
+    def _raw(cls, num: dict[int, int], den: int, unit: Unit) -> LaurentPoly:
+        # private: num, den and unit must already be in normal form
         self = object.__new__(cls)
-        self._coeffs = coeffs
+        self._num = num
+        self._den = den
+        self._unit = unit
         return self
+
+    @classmethod
+    def _reduced(cls, num: dict[int, int], den: int, unit: Unit) -> LaurentPoly:
+        # private: num has no zero and den > 0; divides out their common factor
+        if not num:
+            return _ZERO_POLY
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+        return cls._raw(num, den, unit)
 
     @classmethod
     def zero(cls) -> LaurentPoly:
@@ -62,53 +122,73 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exponent: int, c: ScalarLike = 1) -> LaurentPoly:
-        c = _as_scalar(c)
-        return cls._raw({exponent: c}) if c else _ZERO_POLY
+        a, b, unit = _split(c)
+        return cls._raw({exponent: a}, b, unit) if a else _ZERO_POLY
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def min_exponent(self) -> int:
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no exponents")
-        return min(self._coeffs)
+        return min(self._num)
 
     @property
     def max_exponent(self) -> int:
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no exponents")
-        return max(self._coeffs)
+        return max(self._num)
+
+    def _scalar(self, c: int) -> RadicalScalar:
+        return RadicalScalar._raw({self._unit: Fraction(c, self._den)})
 
     def coeff(self, exponent: int) -> RadicalScalar:
-        return self._coeffs.get(exponent, ZERO)
+        c = self._num.get(exponent)
+        return ZERO if c is None else self._scalar(c)
 
-    def items(self):
-        return self._coeffs.items()
+    def items(self) -> list[tuple[int, RadicalScalar]]:
+        """(exponent, coefficient) pairs, the coefficients built on demand."""
+        return [(e, self._scalar(c)) for e, c in self._num.items()]
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            return self._coeffs == other._coeffs
+            return (
+                self._den == other._den
+                and self._unit == other._unit
+                and self._num == other._num
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash((frozenset(self._num.items()), self._den, self._unit))
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._raw({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._raw({e: -c for e, c in self._num.items()}, self._den, self._unit)
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._coeffs:
+        if not self._num:
             return other
-        if not other._coeffs:
+        if not other._num:
             return self
-        return LaurentPoly._raw(accumulate(dict(self._coeffs), other._coeffs.items()))
+        if self._unit != other._unit:
+            raise ArithmeticError("cannot add polynomials with different radical units")
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            out = accumulate(dict(self._num), other._num.items())
+        else:
+            g = math.gcd(d1, d2)
+            a, b = d2 // g, d1 // g
+            out = {e: c * a for e, c in self._num.items()}
+            accumulate(out, [(e, c * b) for e, c in other._num.items()])
+            d1 *= a
+        return LaurentPoly._reduced(out, d1, self._unit)
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -118,51 +198,47 @@ class LaurentPoly:
     def __mul__(self, other: LaurentPoly | ScalarLike) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return self.scaled(other)
-        if not self._coeffs or not other._coeffs:
+        if not self._num or not other._num:
             return _ZERO_POLY
-        # a product of nonzero scalars is nonzero, so every term is kept
-        terms = [
-            (e1 + e2, c1 * c2)
-            for e1, c1 in self._coeffs.items()
-            for e2, c2 in other._coeffs.items()
-        ]
-        return LaurentPoly._raw(accumulate({}, terms))
+        k, unit = _unit_mul(self._unit, other._unit)
+        a = self._num if k == 1 else {e: c * k for e, c in self._num.items()}
+        # a product of nonzero integers is nonzero, so every term is kept
+        terms = [(e1 + e2, c1 * c2) for e1, c1 in a.items() for e2, c2 in other._num.items()]
+        return LaurentPoly._reduced(accumulate({}, terms), self._den * other._den, unit)
 
     def __rmul__(self, other: ScalarLike) -> LaurentPoly:
         return self.scaled(other)
 
     def scaled(self, c: ScalarLike) -> LaurentPoly:
-        c = _as_scalar(c)
-        if not c:
+        a, b, u = _split(c)
+        if not a or not self._num:
             return _ZERO_POLY
-        return LaurentPoly._raw({e: p * c for e, p in self._coeffs.items()})
+        k, unit = _unit_mul(self._unit, u)
+        a *= k
+        return LaurentPoly._reduced({e: p * a for e, p in self._num.items()}, self._den * b, unit)
 
     def shifted(self, d: int) -> LaurentPoly:
         """Multiply by y^d (shift every exponent by d)."""
         if d == 0:
             return self
-        return LaurentPoly._raw({e + d: c for e, c in self._coeffs.items()})
+        return LaurentPoly._raw({e + d: c for e, c in self._num.items()}, self._den, self._unit)
 
     def derivative(self) -> LaurentPoly:
         """Termwise d/dy, valid for negative exponents too."""
-        out: dict[int, RadicalScalar] = {}
-        for e, c in self._coeffs.items():
-            if e:
-                out[e - 1] = c * e
-        return LaurentPoly._raw(out)
+        out = {e - 1: c * e for e, c in self._num.items() if e}
+        return LaurentPoly._reduced(out, self._den, self._unit)
 
     def evaluate(self, y: complex) -> complex:
-        return sum((c.to_complex() * y**e for e, c in self._coeffs.items()), 0j)
+        r, m = self._unit
+        unit = math.sqrt(r) * (1j if m else 1)
+        return sum((c / self._den * y**e for e, c in self._num.items()), 0j) * unit
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts = []
-        for e in sorted(self._coeffs):
-            c = self._coeffs[e]
-            cs = str(c)
-            if len(c.terms) > 1:
-                cs = f"({cs})"
+        for e in sorted(self._num):
+            cs = str(self._scalar(self._num[e]))
             if e == 0:
                 parts.append(cs)
             elif e == 1:
@@ -175,8 +251,8 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)!r})"
 
 
-_ZERO_POLY = LaurentPoly._raw({})
-_ONE_POLY = LaurentPoly._raw({0: ONE})
+_ZERO_POLY = LaurentPoly._raw({}, 1, _RATIONAL)
+_ONE_POLY = LaurentPoly._raw({0: 1}, 1, _RATIONAL)
 
 
 @dataclass(frozen=True)
@@ -197,12 +273,13 @@ class WeightedFunction:
 
     def derivative(self) -> WeightedFunction:
         """d/dy by the product rule; the weight exponent s is unchanged."""
-        s = self.s
-        items = self.poly.items()
-        # -P/2 contributes at e; P' + (s/y)P contributes c*(e+s) at e-1
-        out = {e: c * _MINUS_HALF for e, c in items}
-        accumulate(out, [(e - 1, a) for e, c in items if (a := c * (e + s))])
-        return WeightedFunction(s, LaurentPoly._raw(out))
+        p = self.poly
+        a, b = self.s.numerator, self.s.denominator
+        # over the denominator 2b*den, with s = a/b: -P/2 contributes -c*b at
+        # e, and P' + (s/y)P contributes 2c*(e*b + a) at e-1
+        out = {e: -c * b for e, c in p._num.items()}
+        accumulate(out, [(e - 1, 2 * c * t) for e, c in p._num.items() if (t := e * b + a)])
+        return WeightedFunction(self.s, LaurentPoly._reduced(out, 2 * b * p._den, p._unit))
 
     def __add__(self, other: WeightedFunction) -> WeightedFunction:
         if not isinstance(other, WeightedFunction):
@@ -249,5 +326,3 @@ class WeightedFunction:
     def __str__(self) -> str:
         return f"exp(-y/2) * y^({self.s}) * ({self.poly})"
 
-
-_MINUS_HALF = RadicalScalar(Fraction(-1, 2))

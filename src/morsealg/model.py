@@ -72,26 +72,25 @@ def make_quantum_numbers(n: int, v: int) -> QuantumNumbers:
 def laguerre(n: int, alpha: Fraction | int) -> LaurentPoly:
     """Associated Laguerre polynomial L_n^alpha as an exact polynomial.
 
-    Sum formula with generalized binomials, so any rational alpha works,
-    including the negative integers that arise on cells with s < 0:
-    L_n^a(y) = sum_k (-1)^k * C(n+a, n-k) * y^k / k!.
+    Any rational alpha = p/q works, including the negative integers that
+    arise on cells with s < 0.  The coefficient of y^k is
+    (-1)^k * C(n, k) * q^k * prod_{j=k+1..n} (p + q*j) / (n! * q^n), an
+    integer over one common denominator; it expands the generalized binomial
+    of L_n^a(y) = sum_k (-1)^k * C(n+a, n-k) * y^k / k!.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     alpha = Fraction(alpha)
-    coeffs: dict[int, RadicalScalar] = {}
-    binom = Fraction(1)  # C(n+alpha, n-k), built from k=n downward
-    kfact = math.factorial(n)
+    p, q = alpha.numerator, alpha.denominator
+    num: dict[int, int] = {}
+    prod = 1  # prod_{j=k+1..n} (p + q*j), built from k=n downward
     for k in range(n, -1, -1):
-        c = binom / kfact
-        if k % 2:
-            c = -c
-        if c:
-            coeffs[k] = RadicalScalar(c)
-        if k:
-            binom = binom * (alpha + k) / (n - k + 1)
-            kfact //= k
-    return LaurentPoly(coeffs)
+        if not prod:
+            break  # a zero factor zeroes every lower coefficient too
+        c = math.comb(n, k) * q**k * prod
+        num[k] = -c if k % 2 else c
+        prod *= p + q * k
+    return LaurentPoly(num).scaled(Fraction(1, math.factorial(n) * q**n))
 
 
 def normalization(n: int, v: int, beta: Fraction | int = 1) -> RadicalScalar | None:

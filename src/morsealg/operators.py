@@ -181,13 +181,13 @@ def k_minus(s: Fraction, v: Fraction | int) -> DiffOp:
     s = Fraction(s)
     if s == 0:
         raise UndefinedOperatorError("lowering operator undefined at s = 0")
-    pref = sqrt_of_rational(Fraction(s + 1, s))
-    return DiffOp(
+    op = DiffOp(
         {
-            1: LaurentPoly({0: -(2 * s + 1) * pref}),
-            0: LaurentPoly({-1: s * (2 * s + 1) * pref, 0: Fraction(-v, 2) * pref}),
+            1: LaurentPoly({0: -(2 * s + 1)}),
+            0: LaurentPoly({-1: s * (2 * s + 1), 0: Fraction(-v, 2)}),
         }
     )
+    return op.scaled(sqrt_of_rational(Fraction(s + 1, s)))
 
 
 def k_plus(s: Fraction, v: Fraction | int) -> DiffOp:
@@ -198,13 +198,13 @@ def k_plus(s: Fraction, v: Fraction | int) -> DiffOp:
     s = Fraction(s)
     if s == 0:
         raise UndefinedOperatorError("raising operator undefined at s = 0")
-    pref = sqrt_of_rational(Fraction(s - 1, s))
-    return DiffOp(
+    op = DiffOp(
         {
-            1: LaurentPoly({0: (2 * s - 1) * pref}),
-            0: LaurentPoly({-1: s * (2 * s - 1) * pref, 0: Fraction(-v, 2) * pref}),
+            1: LaurentPoly({0: 2 * s - 1}),
+            0: LaurentPoly({-1: s * (2 * s - 1), 0: Fraction(-v, 2)}),
         }
     )
+    return op.scaled(sqrt_of_rational(Fraction(s - 1, s)))
 
 
 def schrodinger_diff(s: Fraction, v: Fraction | int) -> DiffOp:

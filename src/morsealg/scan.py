@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,14 +145,15 @@ def _row_cells(n: int, v_max: int) -> list[CellRecord]:
 def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
     """Compute every cell of the [0, n_max] x [0, v_max] grid.
 
-    workers > 1 spreads rows of constant n over that many processes; the
-    result is identical either way because cells are reassembled in (n, v)
-    order.
+    workers > 1 spreads rows of constant n over that many processes, but
+    never more than there are rows or CPUs; the result is identical either
+    way because cells are reassembled in (n, v) order.
     """
     if n_max < 0 or v_max < 0:
         raise ValueError("n_max and v_max must be non-negative")
     cells: list[CellRecord] = []
-    if workers is not None and workers > 1:
+    workers = min(workers or 1, n_max + 1, os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for row in pool.map(partial(_row_cells, v_max=v_max), range(n_max + 1)):
                 cells.extend(row)

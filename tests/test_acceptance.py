@@ -8,6 +8,7 @@ criteria) in a module-scoped fixture.
 
 from __future__ import annotations
 
+import lzma
 import random
 import time
 import xml.etree.ElementTree as ET
@@ -30,7 +31,7 @@ from morsealg.operators import (
 )
 from morsealg.plot import render_plot
 from morsealg.scalars import I, RadicalScalar, sqrt_of_rational
-from morsealg.scan import SignClass, scan
+from morsealg.scan import SignClass, scan, write_report
 from morsealg.spectral import (
     EigenStatus,
     LadderOutcome,
@@ -43,6 +44,7 @@ N_MAX = 100
 V_MAX = 100
 GRID_CELLS = (N_MAX + 1) * (V_MAX + 1)
 GOLDEN = Path(__file__).parent / "golden"
+REPORT_FIXTURES = Path(__file__).parent.parent / "perfbench" / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -382,3 +384,14 @@ def test_criterion_7_property_suites(full_grid, tmp_path):
         "; ".join(problems) if problems else
         f"ring laws, recurrence, composition, spot error {worst:.1e}, golden bytes ok",
     )
+
+
+def test_full_grid_report_bytes_match_fixtures(full_grid, tmp_path):
+    # not a numbered criterion: the full-grid JSON and CSV reports must stay
+    # byte-identical to the committed ones that the benchmark reads
+    report, _ = full_grid
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"report.{fmt}"
+        write_report(report, fmt, out)
+        expected = lzma.decompress((REPORT_FIXTURES / f"report.{fmt}.xz").read_bytes())
+        assert out.read_bytes() == expected, fmt

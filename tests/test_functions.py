@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from morsealg import Comparison, LaurentPoly, RadicalScalar, WeightedFunction, sqrt_of_rational
 
-from _strategies import laurent_polys, weighted_functions
+from _strategies import diff_ops, laurent_polys, shared_unit, weighted_functions
 
 
 def test_poly_product_with_negative_exponent():
@@ -129,7 +129,7 @@ def test_weighted_evaluate_rejects_non_positive_y():
 
 
 @settings(max_examples=60, deadline=None)
-@given(laurent_polys(), laurent_polys(), laurent_polys())
+@given(laurent_polys(unit=shared_unit), laurent_polys(unit=shared_unit), laurent_polys())
 def test_poly_ring_laws(a, b, c):
     assert a + b == b + a
     assert a * b == b * a
@@ -158,3 +158,102 @@ def test_weighted_derivative_matches_finite_differences(f):
 @given(weighted_functions(), weighted_functions())
 def test_compare_is_symmetric(a, b):
     assert a.compare(b) is b.compare(a)
+
+
+def _assert_normal_form(p: LaurentPoly) -> None:
+    """The stored integer form: one reduced denominator, one squarefree unit."""
+    num, den, (r, m) = p._num, p._den, p._unit
+    assert den > 0
+    assert all(num.values())
+    assert math.gcd(den, *num.values()) == 1
+    assert m in (0, 1) and r >= 1
+    assert all(r % (d * d) for d in range(2, math.isqrt(r) + 1))
+    if not num:
+        assert (den, r, m) == (1, 1, 0)
+
+
+SQRT2 = sqrt_of_rational(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    laurent_polys(unit=shared_unit),
+    laurent_polys(unit=shared_unit),
+    laurent_polys(),
+    st.fractions(min_value=-6, max_value=6, max_denominator=8),
+    st.integers(-30, 30).filter(bool),
+    st.integers(-3, 3),
+    diff_ops(),
+    diff_ops(),
+)
+def test_stored_form_is_normal(a, b, c, q, r, d, op, op2):
+    f = WeightedFunction(Fraction(d, 2), a)
+    results = [a, a + b, a - b, a - a, (a + b) - b, a * b, a * c, -a, a.shifted(d)]
+    results += [a.scaled(q), a.scaled(sqrt_of_rational(r)), a.derivative()]
+    results += [f.derivative().poly, op.apply(f).poly, *op.compose(op2).terms.values()]
+    for p in results:
+        _assert_normal_form(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_polys(unit=shared_unit), laurent_polys(unit=shared_unit), laurent_polys())
+def test_equal_values_by_different_routes_hash_equal(a, b, c):
+    for x, y in [
+        ((a + b) - b, a),
+        (a * c, c * a),
+        (a.scaled(Fraction(2, 3)).scaled(Fraction(3, 2)), a),
+        (a.scaled(SQRT2).scaled(SQRT2), a.scaled(2)),
+        ((a + b).shifted(2), a.shifted(2) + b.shifted(2)),
+    ]:
+        assert x == y and hash(x) == hash(y)
+
+
+def test_equal_values_by_different_routes_examples():
+    half_sqrt2 = SQRT2 * Fraction(1, 2)
+    routes = [
+        LaurentPoly({-1: half_sqrt2, 2: -SQRT2}),
+        LaurentPoly({-1: Fraction(1, 2), 2: -1}).scaled(SQRT2),
+        LaurentPoly({-1: 3, 2: -6}).scaled(sqrt_of_rational(Fraction(1, 18))),
+        LaurentPoly.monomial(-1, half_sqrt2) + LaurentPoly.monomial(2, -SQRT2),
+        LaurentPoly({-1: SQRT2}) * LaurentPoly({0: Fraction(1, 2), 3: -1}),
+    ]
+    for p in routes:
+        assert p == routes[0] and hash(p) == hash(routes[0])
+    assert str(routes[0]) == "1/2*sqrt(2)*y^-1 + -1*sqrt(2)*y^2"
+    zero = routes[0] - routes[3]
+    assert zero == LaurentPoly.zero() and hash(zero) == hash(LaurentPoly.zero())
+
+
+def test_coefficients_are_radical_scalars():
+    i_half = sqrt_of_rational(-1) * Fraction(1, 2)
+    p = LaurentPoly({0: i_half, 3: -3 * sqrt_of_rational(-1)})
+    assert p.coeff(0) == i_half and isinstance(p.coeff(0), RadicalScalar)
+    assert p.coeff(1) == RadicalScalar(0)
+    assert dict(p.items()) == {0: i_half, 3: -3 * sqrt_of_rational(-1)}
+    assert str(p) == "i*1/2 + i*-3*y^3"
+    assert p * p == LaurentPoly({0: Fraction(-1, 4), 3: 3, 6: -9})
+
+
+def test_mixed_units_raise():
+    with pytest.raises(ArithmeticError):
+        LaurentPoly({0: SQRT2}) + LaurentPoly({1: 1})
+    with pytest.raises(ArithmeticError):
+        LaurentPoly({0: SQRT2}) - LaurentPoly({0: sqrt_of_rational(-2)})
+    with pytest.raises(ArithmeticError):
+        LaurentPoly({0: SQRT2, 1: sqrt_of_rational(3)})
+    with pytest.raises(ArithmeticError):
+        WeightedFunction(Fraction(0), LaurentPoly.one()) + WeightedFunction(
+            Fraction(1), LaurentPoly({0: SQRT2})
+        )
+    # a zero summand carries no unit
+    assert LaurentPoly.zero() + LaurentPoly({0: SQRT2}) == LaurentPoly({0: SQRT2})
+
+
+def test_multi_term_coefficient_raises():
+    two_terms = RadicalScalar(1) + SQRT2
+    with pytest.raises(ArithmeticError):
+        LaurentPoly({0: two_terms})
+    with pytest.raises(ArithmeticError):
+        LaurentPoly.monomial(2, two_terms)
+    with pytest.raises(ArithmeticError):
+        LaurentPoly.one().scaled(two_terms)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -63,6 +65,34 @@ def test_laguerre_degree_and_leading_coefficient(n, alpha):
     for k in range(1, n + 1):
         lead /= k
     assert p.coeff(n) == lead
+
+
+def _laguerre_reference(n: int, alpha: Fraction) -> LaurentPoly:
+    """L_n^alpha by the Fraction sum formula with generalized binomials:
+    sum_k (-1)^k * C(n+alpha, n-k) * y^k / k!."""
+    coeffs = {}
+    binom = Fraction(1)  # C(n+alpha, n-k), built from k=n downward
+    kfact = math.factorial(n)
+    for k in range(n, -1, -1):
+        c = binom / kfact
+        coeffs[k] = -c if k % 2 else c
+        if k:
+            binom = binom * (alpha + k) / (n - k + 1)
+            kfact //= k
+    return LaurentPoly(coeffs)
+
+
+def test_laguerre_matches_fraction_sum_formula():
+    # every integer alpha the grid can reach at degree n (2s >= -2n - 1),
+    # then seeded rational alpha; the reference shares no code with laguerre
+    for n in range(41):
+        for alpha in range(-2 * n - 1, 2 * n + 41):
+            assert laguerre(n, alpha) == _laguerre_reference(n, Fraction(alpha)), (n, alpha)
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(0, 40)
+        alpha = Fraction(rng.randint(-200, 200), rng.randint(1, 12))
+        assert laguerre(n, alpha) == _laguerre_reference(n, alpha), (n, alpha)
 
 
 @settings(max_examples=80, deadline=None)

@@ -27,7 +27,7 @@ from morsealg import (
     sqrt_of_rational,
 )
 
-from _strategies import diff_ops, laurent_polys, weighted_functions
+from _strategies import diff_ops, laurent_polys, shared_unit, weighted_functions
 
 
 def test_identity_application():
@@ -236,9 +236,9 @@ def test_rejects_negative_order():
 
 
 @settings(max_examples=50, deadline=None)
-@given(diff_ops(), weighted_functions(), st.integers(-2, 2), st.data())
+@given(diff_ops(), weighted_functions(unit=shared_unit), st.integers(-2, 2), st.data())
 def test_linearity(op, f, offset, data):
-    g = WeightedFunction(f.s + offset, data.draw(laurent_polys()))
+    g = WeightedFunction(f.s + offset, data.draw(laurent_polys(unit=shared_unit)))
     lhs = op.apply(f + g)
     rhs = op.apply(f) + op.apply(g)
     assert lhs.compare(rhs).name == "EQUAL"
@@ -267,7 +267,13 @@ def _assert_no_zero_coefficient(x):
 
 
 @settings(max_examples=50, deadline=None)
-@given(laurent_polys(), laurent_polys(), diff_ops(), diff_ops(), st.data())
+@given(
+    laurent_polys(unit=shared_unit),
+    laurent_polys(unit=shared_unit),
+    diff_ops(unit=shared_unit),
+    diff_ops(unit=shared_unit),
+    st.data(),
+)
 def test_no_zero_coefficient_is_stored(p, q, a, b, data):
     results = [p + q, p - q, p - p, (p + q) - q, p * q, p.derivative()]
     results += [a + b, a - b, a - a, (a + b) - b, a.compose(b), commutator(a, a)]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,13 +15,18 @@ from morsealg import (
     OpClass,
     SignClass,
     compute_cell,
+    make_state,
     read_report,
     run_invariant_suite,
     scan,
+    schrodinger_diff,
     summarize,
     write_report,
 )
 from morsealg.scan import _cell_to_csv
+
+# the package's `scan` attribute is the function, so fetch the module itself
+scan_module = importlib.import_module("morsealg.scan")
 
 
 def test_cell_record_physical_example():
@@ -41,6 +48,50 @@ def test_cell_record_trivial_example():
     assert cell.ev1.status is EigenStatus.TRIVIAL_ZERO
     assert cell.ev2.status is EigenStatus.PROPER
     assert cell.ev3 == 0 and cell.all_equal
+
+
+def _cells_beyond_the_grid() -> list[tuple[int, int]]:
+    """25 cells with n, v <= 300, each outside the 101 x 101 report grid."""
+    fixed = [
+        (149, 299),  # s = 0
+        (120, 241),  # s = 0
+        (150, 300),  # s = -1/2
+        (149, 300),  # s = 1/2
+        (101, 300),  # s = 97/2
+        (0, 300),  # s = 299/2
+        (300, 300),  # s = -301/2
+        (300, 0),  # s = -601/2
+        (250, 299),  # s = -101
+    ]
+    rng = random.Random(300)
+    cells = set(fixed)
+    while len(cells) < 25:
+        n, v = rng.randint(0, 300), rng.randint(0, 300)
+        if max(n, v) > 100:
+            cells.add((n, v))
+    return sorted(cells)
+
+
+def test_cells_beyond_the_grid():
+    cells = _cells_beyond_the_grid()
+    signs = {(v > 2 * n + 1) - (v < 2 * n + 1) for n, v in cells}
+    assert signs == {-1, 0, 1}
+    assert any((v - 2 * n - 1) % 2 for n, v in cells)  # half-integer s
+    for n, v in cells:
+        cell = compute_cell(n, v)
+        expected = Fraction(2 * n - v + 1)
+        if cell.s == 0:
+            assert cell.op_class is OpClass.ZERO, (n, v)
+            assert cell.ev1.status is EigenStatus.TRIVIAL_ZERO, (n, v)
+        else:
+            assert cell.op_class is OpClass.PROPER, (n, v)
+            assert cell.ev1.status is EigenStatus.PROPER, (n, v)
+        assert cell.ev2.status is EigenStatus.PROPER, (n, v)
+        assert cell.ev1.value == cell.ev2.value == cell.ev3 == expected, (n, v)
+        assert cell.all_equal, (n, v)
+        state = make_state(n, v)
+        assert state.wavefunction.poly.max_exponent == n, (n, v)
+        assert schrodinger_diff(cell.s, v).apply(state.wavefunction).is_zero, (n, v)
 
 
 def test_csv_rows_are_pinned():
@@ -111,6 +162,43 @@ def test_scan_equality_flags_hold_on_small_grid():
 
 def test_workers_produce_identical_report():
     assert scan(4, 7, workers=3) == scan(4, 7)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "workers, n_max, cpus, started",
+    [
+        (100_000, 3, 8, 4),  # capped by the rows
+        (100_000, 10, 2, 2),  # capped by the CPUs
+        (3, 10, 8, 3),
+        (100_000, 10, None, None),  # CPU count unknown: one worker, no pool
+        (5, 0, 8, None),  # a single row runs serially
+    ],
+)
+def test_pool_size_is_capped_before_any_process_starts(monkeypatch, workers, n_max, cpus, started):
+    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: cpus)
+    _SerialPool.sizes = []
+    report = scan(n_max, 2, workers=workers)
+    assert _SerialPool.sizes == ([] if started is None else [started])
+    assert report == scan(n_max, 2)
 
 
 def test_json_round_trip(tmp_path):
