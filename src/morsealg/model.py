@@ -122,10 +122,12 @@ def physical_map(params: PhysicalParams, n: int = 0) -> tuple[float, float, floa
 
     v = sqrt(8 * mass * v0) / (beta * hbar), s follows the grid relation,
     and E = -beta^2 * hbar^2 * s^2 / (2 * mass).  Raises NonBoundError when
-    s < 0, i.e. when level n does not fit in the well.
+    s < 0, i.e. when level n does not fit in the well, and ValueError when a
+    constant, v, s or E is not finite.
     """
-    if params.v0 <= 0 or params.beta <= 0 or params.mass <= 0 or params.hbar <= 0:
-        raise ValueError("physical constants must be positive")
+    constants = (params.v0, params.beta, params.mass, params.hbar)
+    if not all(math.isfinite(x) and x > 0 for x in constants):
+        raise ValueError("physical constants must be positive and finite")
     if n < 0:
         raise ValueError("n must be non-negative")
     v = math.sqrt(8.0 * params.mass * params.v0) / (params.beta * params.hbar)
@@ -133,4 +135,6 @@ def physical_map(params: PhysicalParams, n: int = 0) -> tuple[float, float, floa
     if s < 0:
         raise NonBoundError(f"level n={n} is not bound (s = {s:.6g} < 0)")
     e = -((params.beta * params.hbar * s) ** 2) / (2.0 * params.mass)
+    if not all(map(math.isfinite, (v, s, e))):
+        raise ValueError(f"v, s or E is not finite (v = {v!r}, s = {s!r}, E = {e!r})")
     return v, s, e

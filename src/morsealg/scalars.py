@@ -19,6 +19,8 @@ _ONE = Fraction(1)
 # key of the purely rational term: radicand 1, i-exponent 0
 _RATIONAL_KEY = (1, 0)
 
+_MAX_RADICAND = 10**6
+
 _TERM_RE = re.compile(r"^(i\*)?(-?\d+(?:/\d+)?)(?:\*sqrt\((\d+)\))?$")
 
 
@@ -243,20 +245,26 @@ class RadicalScalar:
 
     @classmethod
     def parse(cls, text: str) -> RadicalScalar:
-        """Inverse of str(); accepts e.g. '-1', '1/3*sqrt(3)', 'i*1+2*sqrt(2)'."""
-        text = text.strip()
-        if text == "0":
-            return ZERO
+        """Inverse of str(); accepts e.g. '-1', '1/3*sqrt(3)', 'i*1+2*sqrt(2)'.
+
+        A radicand above 10**6 raises ValueError before it is factored, which
+        bounds the trial division; the eigenvalues in a report are rational.
+        """
         out = ZERO
-        for part in text.split("+"):
+        for part in text.strip().split("+"):
             m = _TERM_RE.match(part.strip())
             if m is None:
                 raise ValueError(f"malformed scalar term: {part!r}")
             imag, q, r = m.group(1), Fraction(m.group(2)), int(m.group(3) or 1)
-            term = RadicalScalar(q) * sqrt_of_rational(r)
-            if imag:
-                term = term * I
-            out = out + term
+            if r > _MAX_RADICAND:
+                raise ValueError(f"radicand above {_MAX_RADICAND}: {r}")
+            if r > 1:
+                a, r = _squarefree(r)
+                q *= a
+            key = (r, 1 if imag else 0)
+            if q and r:
+                # share the one rational key, as every other constructor does
+                out = out + cls._raw({_RATIONAL_KEY if key == _RATIONAL_KEY else key: q})
         return out
 
 

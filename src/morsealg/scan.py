@@ -1,8 +1,15 @@
-"""Grid scan over (n, v), cell classification, and report persistence.
+"""Grid scan over (n, v), cell records, report persistence, invariant suite.
 
 Every cell is computed exactly and independently; the report is always
 assembled in (n, v) order so identical inputs give identical files no matter
 how the work was scheduled.
+
+A cell's row is defined once.  ``_record`` derives every field from (n, v)
+and the two computed eigenvalues, ``_row`` lays the fields out in
+CSV_HEADER order for both report formats, and ``read_report`` rebuilds each
+cell through ``_record`` and rejects a file whose rows or grid differ from
+what ``write_report`` would write.  The ``verify`` suite runs its operator
+checks over the cells of one ``scan``.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import os
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +52,7 @@ class CellRecord:
 
     ev1 is the closed-form shifted commutator's action, ev2 the doubled
     diagonal-operator action, ev3 the algebraic prediction 2n - v + 1.
+    Only ev1 and ev2 are computed; _record derives every other field.
     """
 
     n: int
@@ -84,31 +93,31 @@ class ScanReport:
     summary: Summary
 
 
-def compute_cell(n: int, v: int) -> CellRecord:
-    """Classify cell (n, v) and compare its three eigenvalue computations."""
-    qn = make_quantum_numbers(n, v)
-    s = qn.s
-    sign = SignClass.NON_NEGATIVE if s >= 0 else SignClass.NEGATIVE
-    # k0_prime_simplified is the zero operator exactly at s = 0
-    op_class = OpClass.ZERO if s == 0 else OpClass.PROPER
-    ev1 = eigenvalue_one(n, v)
-    ev2 = eigenvalue_two(n, v)
+def _record(n: int, v: int, ev1: EigenResult, ev2: EigenResult) -> CellRecord:
+    """The cell (n, v) with every other field derived from its two computed eigenvalues."""
+    s = make_quantum_numbers(n, v).s
     ev3 = eigenvalue_three(n, v)
     equal_12 = ev1.value == ev2.value
     equal_13 = ev1.value == ev3
     return CellRecord(
-        n=n,
-        v=v,
-        s=s,
-        s_sign=sign,
-        op_class=op_class,
-        ev1=ev1,
-        ev2=ev2,
-        ev3=ev3,
-        equal_12=equal_12,
-        equal_13=equal_13,
-        all_equal=equal_12 and equal_13,
+        n,
+        v,
+        s,
+        SignClass.NON_NEGATIVE if s >= 0 else SignClass.NEGATIVE,
+        # k0_prime_simplified is the zero operator exactly at s = 0
+        OpClass.ZERO if s == 0 else OpClass.PROPER,
+        ev1,
+        ev2,
+        ev3,
+        equal_12,
+        equal_13,
+        equal_12 and equal_13,
     )
+
+
+def compute_cell(n: int, v: int) -> CellRecord:
+    """Classify cell (n, v) and compare its three eigenvalue computations."""
+    return _record(n, v, eigenvalue_one(n, v), eigenvalue_two(n, v))
 
 
 def summarize(cells: tuple[CellRecord, ...]) -> Summary:
@@ -164,47 +173,44 @@ def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
     return ScanReport(n_max, v_max, cells_t, summarize(cells_t))
 
 
-def _bool_str(b: bool) -> str:
-    return "true" if b else "false"
+_COLUMNS = tuple(CSV_HEADER.split(","))
+# a JSON cell also carries k0 (= ev3 / 2), right after ev3
+_K0_AT = _COLUMNS.index("ev3") + 1
+_JSON_KEYS = _COLUMNS[:_K0_AT] + ("k0",) + _COLUMNS[_K0_AT:]
+
+_Row = tuple[int, int, str, str, str, str, str, str, str, str, bool, bool, bool]
 
 
-def _cell_to_json(cell: CellRecord) -> dict:
-    return {
-        "n": cell.n,
-        "v": cell.v,
-        "s": str(cell.s),
-        "s_sign": cell.s_sign.value,
-        "op_class": cell.op_class.value,
-        "ev1": str(cell.ev1.value),
-        "ev1_status": cell.ev1.status.value,
-        "ev2": str(cell.ev2.value),
-        "ev2_status": cell.ev2.status.value,
-        "ev3": str(cell.ev3),
-        "k0": str(cell.k0),
-        "equal_12": cell.equal_12,
-        "equal_13": cell.equal_13,
-        "all_equal": cell.all_equal,
-    }
+def _row(cell: CellRecord) -> _Row:
+    """The cell's stored values, in CSV_HEADER order; both formats write this row."""
+    return (
+        cell.n,
+        cell.v,
+        str(cell.s),
+        cell.s_sign.value,
+        cell.op_class.value,
+        str(cell.ev1.value),
+        cell.ev1.status.value,
+        str(cell.ev2.value),
+        cell.ev2.status.value,
+        str(cell.ev3),
+        cell.equal_12,
+        cell.equal_13,
+        cell.all_equal,
+    )
+
+
+def _csv_fields(cell: CellRecord) -> tuple[str, ...]:
+    return tuple(("true" if x else "false") if isinstance(x, bool) else str(x) for x in _row(cell))
 
 
 def _cell_to_csv(cell: CellRecord) -> str:
-    return ",".join(
-        (
-            str(cell.n),
-            str(cell.v),
-            str(cell.s),
-            cell.s_sign.value,
-            cell.op_class.value,
-            str(cell.ev1.value),
-            cell.ev1.status.value,
-            str(cell.ev2.value),
-            cell.ev2.status.value,
-            str(cell.ev3),
-            _bool_str(cell.equal_12),
-            _bool_str(cell.equal_13),
-            _bool_str(cell.all_equal),
-        )
-    )
+    return ",".join(_csv_fields(cell))
+
+
+def _cell_to_json(cell: CellRecord) -> dict:
+    row = _row(cell)
+    return dict(zip(_JSON_KEYS, row[:_K0_AT] + (str(cell.k0),) + row[_K0_AT:]))
 
 
 def write_report(report: ScanReport, format: str, path) -> None:
@@ -239,63 +245,57 @@ def write_report(report: ScanReport, format: str, path) -> None:
         raise ValueError(f"unknown report format: {format!r}")
 
 
-def _eigen_from_strings(value: str, status: str) -> EigenResult:
-    return EigenResult(RadicalScalar.parse(value), EigenStatus(status))
+def _cell_from_row(stored: tuple, written: Callable[[CellRecord], tuple]) -> CellRecord:
+    """Rebuild a cell from n, v and the eigenvalues of its stored row.
 
-
-def _cell_from_json(doc: dict) -> CellRecord:
-    return CellRecord(
-        n=int(doc["n"]),
-        v=int(doc["v"]),
-        s=Fraction(doc["s"]),
-        s_sign=SignClass(doc["s_sign"]),
-        op_class=OpClass(doc["op_class"]),
-        ev1=_eigen_from_strings(doc["ev1"], doc["ev1_status"]),
-        ev2=_eigen_from_strings(doc["ev2"], doc["ev2_status"]),
-        ev3=Fraction(doc["ev3"]),
-        equal_12=bool(doc["equal_12"]),
-        equal_13=bool(doc["equal_13"]),
-        all_equal=bool(doc["all_equal"]),
+    Every other column is derived; ValueError unless written(cell), the row
+    write_report would store for the rebuilt cell, equals the stored one.
+    """
+    n, v, _, _, _, ev1, ev1_status, ev2, ev2_status = stored[:9]
+    cell = _record(
+        int(n),
+        int(v),
+        EigenResult(RadicalScalar.parse(ev1), EigenStatus(ev1_status)),
+        EigenResult(RadicalScalar.parse(ev2), EigenStatus(ev2_status)),
     )
-
-
-def _cell_from_csv(line: str) -> CellRecord:
-    parts = line.split(",")
-    if len(parts) != 13:
-        raise ValueError(f"malformed report row: {line!r}")
-    return CellRecord(
-        n=int(parts[0]),
-        v=int(parts[1]),
-        s=Fraction(parts[2]),
-        s_sign=SignClass(parts[3]),
-        op_class=OpClass(parts[4]),
-        ev1=_eigen_from_strings(parts[5], parts[6]),
-        ev2=_eigen_from_strings(parts[7], parts[8]),
-        ev3=Fraction(parts[9]),
-        equal_12=parts[10] == "true",
-        equal_13=parts[11] == "true",
-        all_equal=parts[12] == "true",
-    )
+    if written(cell) != stored:
+        raise ValueError(f"inconsistent report row for cell ({n}, {v})")
+    return cell
 
 
 def read_report(path) -> ScanReport:
     """Load a report written by write_report, sniffing JSON versus CSV.
 
-    The summary and k0 are derived from the cells, never read from the file.
+    Each cell is rebuilt from n, v and its two eigenvalues, and its stored
+    row must be the one write_report writes for it; the JSON summary and
+    k0 are ignored and re-derived.  The cells must fill the (n, v) grid in
+    order.  Anything else raises ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        cells = tuple(_cell_from_json(c) for c in doc["cells"])
-        return ScanReport(int(doc["n_max"]), int(doc["v_max"]), cells, summarize(cells))
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("not a recognized report file")
-    cells = tuple(_cell_from_csv(ln) for ln in lines[1:])
-    n_max = max((c.n for c in cells), default=0)
-    v_max = max((c.v for c in cells), default=0)
+    try:
+        if text.lstrip().startswith("{"):
+            doc = json.loads(text)
+            cells = tuple(
+                _cell_from_row(tuple(c[k] for k in _COLUMNS), _row) for c in doc["cells"]
+            )
+            n_max, v_max = int(doc["n_max"]), int(doc["v_max"])
+        else:
+            lines = [ln for ln in text.split("\n") if ln]
+            if not lines or lines[0] != CSV_HEADER:
+                raise ValueError("not a recognized report file")
+            cells = tuple(_cell_from_row(tuple(ln.split(",")), _csv_fields) for ln in lines[1:])
+            # an empty CSV report fails the grid check below
+            n_max, v_max = (cells[-1].n, cells[-1].v) if cells else (0, 0)
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError, RecursionError) as e:
+        raise ValueError(f"malformed report: {type(e).__name__}: {e}") from e
+    if (
+        n_max < 0
+        or v_max < 0
+        or len(cells) != (n_max + 1) * (v_max + 1)
+        or any((c.n, c.v) != divmod(i, v_max + 1) for i, c in enumerate(cells))
+    ):
+        raise ValueError(f"report cells do not fill the grid n <= {n_max}, v <= {v_max} in order")
     return ScanReport(n_max, v_max, cells, summarize(cells))
 
 
@@ -306,94 +306,70 @@ class InvariantResult:
     detail: str
 
 
-def _format_failures(failures: list[tuple[int, int]]) -> str:
-    shown = ", ".join(f"({n},{v})" for n, v in failures[:5])
-    more = "" if len(failures) <= 5 else f" and {len(failures) - 5} more"
-    return f"failing cells: {shown}{more}"
+def _invariant(name: str, failures: Sequence[tuple[int, int]], detail: str) -> InvariantResult:
+    """The result of one check, naming up to five of its failing cells."""
+    if failures:
+        shown = ", ".join(f"({n},{v})" for n, v in failures[:5])
+        more = "" if len(failures) <= 5 else f" and {len(failures) - 5} more"
+        detail += f"; failing cells: {shown}{more}"
+    return InvariantResult(name, not failures, detail)
 
 
 def run_invariant_suite(n_max: int, v_max: int) -> list[InvariantResult]:
     """Grid-wide checks behind the `verify` command, one result per check.
 
-    Covers annihilation by the stationary-equation operator, equality of the
-    three eigenvalue computations, agreement of the composed and closed-form
-    shifted commutators where all radicands are non-negative, the collapsed
-    form of the unshifted commutator, and the sign boundary v >= 2n + 1.
+    Runs on the cells of scan(n_max, v_max): equality of the three
+    eigenvalue computations and the sign boundary v >= 2n + 1 come from
+    its records.  Each cell then checks annihilation by the
+    stationary-equation operator, agreement of the composed and closed-form
+    shifted commutators where all radicands are non-negative, and the
+    collapsed form of the unshifted commutator.
     """
-    results: list[InvariantResult] = []
-
+    report = scan(n_max, v_max)
     schro_fail: list[tuple[int, int]] = []
-    eigen_fail: list[tuple[int, int]] = []
     composed_fail: list[tuple[int, int]] = []
     composed_checked = 0
-    composed_skipped = 0
     naive_fail: list[tuple[int, int]] = []
-    sign_fail: list[tuple[int, int]] = []
-
-    for n in range(n_max + 1):
-        for v in range(v_max + 1):
-            s = Fraction(v - 2 * n - 1, 2)
-            state = make_state(n, v)
-            if not schrodinger_diff(s, v).apply(state.wavefunction).is_zero:
-                schro_fail.append((n, v))
-            cell = compute_cell(n, v)
-            if not cell.all_equal:
-                eigen_fail.append((n, v))
-            if (cell.s_sign is SignClass.NON_NEGATIVE) != (v >= 2 * n + 1):
-                sign_fail.append((n, v))
-            if abs(s) > 1:
-                composed_checked += 1
-                if k0_prime_composed(s, v) != k0_prime_simplified(s, v):
-                    composed_fail.append((n, v))
-            else:
-                composed_skipped += 1
-            if s != 0:
-                expected = DiffOp.multiplication(
-                    LaurentPoly({-2: naive_commutator_coefficient(s)})
-                )
-                if naive_commutator(s, v) != expected:
-                    naive_fail.append((n, v))
-
-    total = (n_max + 1) * (v_max + 1)
-    results.append(
-        InvariantResult(
+    for cell in report.cells:
+        n, v, s = cell.n, cell.v, cell.s
+        if not schrodinger_diff(s, v).apply(make_state(n, v).wavefunction).is_zero:
+            schro_fail.append((n, v))
+        if abs(s) > 1:
+            composed_checked += 1
+            if k0_prime_composed(s, v) != k0_prime_simplified(s, v):
+                composed_fail.append((n, v))
+        if s != 0:
+            expected = DiffOp.multiplication(LaurentPoly({-2: naive_commutator_coefficient(s)}))
+            if naive_commutator(s, v) != expected:
+                naive_fail.append((n, v))
+    sign_fail = [
+        (c.n, c.v)
+        for c in report.cells
+        if (c.s_sign is SignClass.NON_NEGATIVE) != (c.v >= 2 * c.n + 1)
+    ]
+    total = report.summary.total
+    mismatches = report.summary.mismatches
+    return [
+        _invariant(
             "schrodinger-annihilation",
-            not schro_fail,
-            f"{total - len(schro_fail)}/{total} states annihilated exactly"
-            + ("" if not schro_fail else "; " + _format_failures(schro_fail)),
-        )
-    )
-    results.append(
-        InvariantResult(
+            schro_fail,
+            f"{total - len(schro_fail)}/{total} states annihilated exactly",
+        ),
+        _invariant(
             "eigenvalue-equality",
-            not eigen_fail,
-            f"{total - len(eigen_fail)}/{total} cells with all three eigenvalues equal"
-            + ("" if not eigen_fail else "; " + _format_failures(eigen_fail)),
-        )
-    )
-    results.append(
-        InvariantResult(
+            mismatches,
+            f"{total - len(mismatches)}/{total} cells with all three eigenvalues equal",
+        ),
+        _invariant(
             "composed-vs-simplified",
-            not composed_fail,
+            composed_fail,
             f"{composed_checked - len(composed_fail)}/{composed_checked} cells agree termwise"
-            f" ({composed_skipped} cells with |s| <= 1 skipped)"
-            + ("" if not composed_fail else "; " + _format_failures(composed_fail)),
-        )
-    )
-    results.append(
-        InvariantResult(
+            f" ({total - composed_checked} cells with |s| <= 1 skipped)",
+        ),
+        _invariant(
             "unshifted-commutator-form",
-            not naive_fail,
-            "collapses to its 1/y^2 multiplication form on every s != 0 cell"
-            + ("" if not naive_fail else "; " + _format_failures(naive_fail)),
-        )
-    )
-    results.append(
-        InvariantResult(
-            "sign-boundary",
-            not sign_fail,
-            "s >= 0 exactly on v >= 2n + 1"
-            + ("" if not sign_fail else "; " + _format_failures(sign_fail)),
-        )
-    )
-    return results
+            naive_fail,
+            "collapses to its 1/y^2 multiplication form on every s != 0 cell",
+        ),
+        _invariant("sign-boundary", sign_fail, "s >= 0 exactly on v >= 2n + 1"),
+    ]

@@ -31,7 +31,7 @@ from morsealg.operators import (
 )
 from morsealg.plot import render_plot
 from morsealg.scalars import I, RadicalScalar, sqrt_of_rational
-from morsealg.scan import SignClass, scan, write_report
+from morsealg.scan import SignClass, read_report, scan, write_report
 from morsealg.spectral import (
     EigenStatus,
     LadderOutcome,
@@ -388,10 +388,14 @@ def test_criterion_7_property_suites(full_grid, tmp_path):
 
 def test_full_grid_report_bytes_match_fixtures(full_grid, tmp_path):
     # not a numbered criterion: the full-grid JSON and CSV reports must stay
-    # byte-identical to the committed ones that the benchmark reads
+    # byte-identical to the committed ones that the benchmark reads, and the
+    # strict reader must accept every row of them
     report, _ = full_grid
     for fmt in ("json", "csv"):
         out = tmp_path / f"report.{fmt}"
         write_report(report, fmt, out)
         expected = lzma.decompress((REPORT_FIXTURES / f"report.{fmt}.xz").read_bytes())
         assert out.read_bytes() == expected, fmt
+        fixture = tmp_path / f"fixture.{fmt}"
+        fixture.write_bytes(expected)
+        assert read_report(fixture) == report, fmt

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from morsealg import CSV_HEADER
 from morsealg.cli import run
 
 
@@ -113,6 +115,55 @@ def test_plot_malformed_report_is_usage_error(tmp_path):
     assert code == 2
 
 
+def _set_cell(key, value):
+    def corrupt(doc):
+        doc["cells"][0][key] = value
+
+    return corrupt
+
+
+def _drop_ev2(doc):
+    del doc["cells"][0]["ev2"]
+
+
+def _cell_as_list(doc):
+    doc["cells"][0] = list(doc["cells"][0].values())
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: doc.update(cells=5),
+        _cell_as_list,
+        _set_cell("ev1", "1/0"),
+        _drop_ev2,
+        _set_cell("all_equal", False),
+        _set_cell("ev1", "1*sqrt(1000000000000000000000007)"),
+        lambda doc: doc.update(n_max=-1, cells=[]),
+        lambda doc: doc.update(n_max=float("inf")),
+        CSV_HEADER + "\n",
+        '{"cells": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ],
+    ids=[
+        "cells-not-a-list", "cell-as-list", "ev1-divides-by-zero", "missing-ev2",
+        "flipped-all_equal", "huge-radicand", "negative-n_max", "infinite-n_max",
+        "csv-header-only", "deep-nesting",
+    ],
+)
+def test_plot_rejects_malformed_or_inconsistent_report(tmp_path, corrupt):
+    report, svg = tmp_path / "r.json", tmp_path / "x.svg"
+    if isinstance(corrupt, str):
+        report.write_text(corrupt, encoding="utf-8")
+    else:
+        _run(["scan", "--n-max", "1", "--v-max", "2", "--out", str(report)])
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        corrupt(doc)
+        report.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = _run(["plot", "--in", str(report), "--mode", "sign", "--out", str(svg)])
+    assert code == 2 and err.startswith("error: ")
+    assert not svg.exists()
+
+
 def test_plot_rejects_unknown_mode(tmp_path):
     code, _, _ = _run(
         ["plot", "--in", str(tmp_path / "r.json"), "--mode", "rainbow", "--out", str(tmp_path / "x.svg")]
@@ -188,10 +239,17 @@ def test_ladder_sweep():
 
 
 def test_verify_small_grid():
-    code, out, _ = _run(["verify", "--n-max", "4", "--v-max", "6"])
+    code, out, _ = _run(["verify", "--n-max", "6", "--v-max", "10"])
     assert code == 0
-    assert out.count("PASS") == 5
-    assert "FAIL" not in out
+    assert out == (
+        "PASS schrodinger-annihilation: 77/77 states annihilated exactly\n"
+        "PASS eigenvalue-equality: 77/77 cells with all three eigenvalues equal\n"
+        "PASS composed-vs-simplified: 52/52 cells agree termwise"
+        " (25 cells with |s| <= 1 skipped)\n"
+        "PASS unshifted-commutator-form: collapses to its 1/y^2 multiplication form"
+        " on every s != 0 cell\n"
+        "PASS sign-boundary: s >= 0 exactly on v >= 2n + 1\n"
+    )
 
 
 def test_physical_output():
@@ -217,6 +275,20 @@ def test_physical_rejects_bad_constants():
         ["physical", "--v0", "-1", "--beta", "1", "--mass", "1", "--hbar", "1"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [
+        ["--v0", "nan", "--beta", "1", "--mass", "1", "--hbar", "1"],
+        ["--v0", "inf", "--beta", "1", "--mass", "1", "--hbar", "1"],
+        ["--v0", "1e308", "--beta", "1e-308", "--mass", "1e308", "--hbar", "1"],
+    ],
+)
+def test_physical_rejects_non_finite_values(constants):
+    code, out, err = _run(["physical", *constants])
+    assert code == 2 and out == ""
+    assert "finite" in err
 
 
 def test_stdout_is_deterministic():

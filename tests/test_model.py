@@ -181,3 +181,19 @@ def test_physical_map_rejects_bad_constants():
         physical_map(PhysicalParams(v0=-1.0, beta=1.0, mass=1.0, hbar=1.0), 0)
     with pytest.raises(ValueError):
         physical_map(PhysicalParams(v0=1.0, beta=0.0, mass=1.0, hbar=1.0), 0)
+
+
+@pytest.mark.parametrize(
+    "v0, beta, mass, hbar",
+    [
+        (math.nan, 1.0, 1.0, 1.0),
+        (math.inf, 1.0, 1.0, 1.0),
+        (1.0, 1.0, math.inf, 1.0),
+        (1.0, 1.0, 1.0, -math.inf),
+        (1e308, 1e-308, 1e308, 1.0),  # finite constants, v overflows to inf
+    ],
+)
+def test_physical_map_rejects_non_finite_values(v0, beta, mass, hbar):
+    with pytest.raises(ValueError, match="finite") as exc:
+        physical_map(PhysicalParams(v0=v0, beta=beta, mass=mass, hbar=hbar), 0)
+    assert not isinstance(exc.value, NonBoundError)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,34 @@ def test_parse_rejects_garbage():
 
 def test_parse_tolerates_spaces_between_terms():
     assert RadicalScalar.parse("1 + 2") == RadicalScalar(3)
+
+
+def test_parse_reduces_radicands_to_normal_form():
+    assert RadicalScalar.parse("1*sqrt(8)") == 2 * sqrt_of_rational(2)
+    assert RadicalScalar.parse("i*3*sqrt(12)") == 6 * sqrt_of_rational(-3)
+    assert RadicalScalar.parse("2*sqrt(0)+1") == 1
+    assert RadicalScalar.parse("1*sqrt(1000000)") == 1000
+
+
+def test_parse_rejects_oversized_radicand_before_factoring():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="radicand"):
+        RadicalScalar.parse("1*sqrt(1000000000000000000000007)")  # a 25-digit prime
+    assert time.perf_counter() - start < 0.1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), small_fractions, st.integers(0, 10**6)), min_size=1, max_size=4
+    )
+)
+def test_parse_matches_sqrt_of_rational(terms):
+    text = "+".join(f"{'i*' if imag else ''}{q}*sqrt({r})" for imag, q, r in terms)
+    expected = RadicalScalar(0)
+    for imag, q, r in terms:
+        expected = expected + q * sqrt_of_rational(r) * (sqrt_of_rational(-1) if imag else 1)
+    assert RadicalScalar.parse(text) == expected
 
 
 def test_to_complex():

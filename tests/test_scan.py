@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import functools
 import importlib
 import json
 import random
+import tempfile
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsealg import (
     CSV_HEADER,
+    DiffOp,
     EigenStatus,
     OpClass,
     SignClass,
@@ -229,6 +236,149 @@ def test_read_report_rederives_json_summary_and_k0(tmp_path):
     assert loaded == report
 
 
+@functools.cache
+def _report_texts() -> dict[str, str]:
+    """The JSON and CSV reports of scan(3, 6), as written."""
+    texts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("json", "csv"):
+            path = Path(tmp) / f"report.{fmt}"
+            write_report(scan(3, 6), fmt, path)
+            texts[fmt] = path.read_text(encoding="utf-8")
+    return texts
+
+
+def _flip(row: dict, key: str) -> None:
+    row[key] = not row[key]
+
+
+# each edits the scan(3, 6) report as {"n_max", "v_max", "cells": [row dicts]};
+# cell 2 is (0, 2) with s = 1/2, cell 4 is (0, 4) with s = 3/2
+_INCONSISTENT = {
+    "flipped-all_equal": lambda doc: _flip(doc["cells"][4], "all_equal"),
+    "flipped-equal_13": lambda doc: _flip(doc["cells"][4], "equal_13"),
+    "wrong-s": lambda doc: doc["cells"][4].update(s="5/2"),
+    "non-canonical-s": lambda doc: doc["cells"][2].update(s="2/4"),
+    "wrong-s_sign": lambda doc: doc["cells"][4].update(s_sign="Negative"),
+    "wrong-ev3": lambda doc: doc["cells"][4].update(ev3="-2"),
+    "duplicated-row": lambda doc: doc["cells"].__setitem__(5, doc["cells"][4]),
+    "missing-row": lambda doc: doc["cells"].pop(5),
+    "extra-row": lambda doc: doc["cells"].append(doc["cells"][-1]),
+    "swapped-rows": lambda doc: doc["cells"].insert(5, doc["cells"].pop(4)),
+}
+
+
+def _csv_text(doc: dict) -> str:
+    flags = ("equal_12", "equal_13", "all_equal")
+    rows = [
+        ",".join(str(cell[k]).lower() if k in flags else str(cell[k]) for k in CSV_HEADER.split(","))
+        for cell in doc["cells"]
+    ]
+    return "\n".join([CSV_HEADER, *rows, ""])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("corruption", sorted(_INCONSISTENT))
+def test_read_report_rejects_inconsistent_rows(tmp_path, fmt, corruption):
+    doc = json.loads(_report_texts()["json"])
+    assert _csv_text(doc) == _report_texts()["csv"]
+    _INCONSISTENT[corruption](doc)
+    path = tmp_path / f"report.{fmt}"
+    path.write_text(json.dumps(doc) if fmt == "json" else _csv_text(doc), encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_report(path)
+
+
+@pytest.mark.parametrize(
+    "n_max, v_max, cells",
+    [
+        (2, 6, 28),  # n_max too small for the cells
+        (3, 7, 28),  # v_max too large
+        (-1, 6, 0),  # negative bound, no cells
+        (0, -1, 0),
+        (10**30, 6, 28),  # huge bound: rejected by the count alone
+    ],
+)
+def test_read_report_rejects_json_bounds_that_do_not_match_the_cells(tmp_path, n_max, v_max, cells):
+    doc = json.loads(_report_texts()["json"])
+    doc.update(n_max=n_max, v_max=v_max, cells=doc["cells"][:cells])
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="grid"):
+        read_report(path)
+
+
+_ODD_VALUES = (None, True, False, 0, -1, 2.5, 10**30, "", "x", "1/0", "2/4", "1*sqrt(8)", [], [1], {})
+
+
+@st.composite
+def _corrupted_reports(draw) -> str:
+    """The JSON or CSV report of scan(3, 6) with one corruption applied."""
+    fmt = draw(st.sampled_from(["json", "csv"]))
+    text = _report_texts()[fmt]
+    how = draw(st.sampled_from(["truncate", "edit", "rows", "field", "top"]))
+    if how == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if how == "edit":
+        i = draw(st.integers(0, len(text) - 1))
+        return text[:i] + draw(st.characters(codec="utf-8")) + text[i + 1 :]
+    if fmt == "json":
+        doc = json.loads(text)
+        cells = doc["cells"]
+    else:
+        header, *lines = text.split("\n")[:-1]
+        cells = [line.split(",") for line in lines]
+    i = draw(st.integers(0, len(cells) - 1))
+    j = draw(st.integers(0, len(cells) - 1))
+    if how == "rows":
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap"]))
+        if edit == "drop":
+            del cells[i]
+        elif edit == "duplicate":
+            cells.insert(i, cells[j])
+        else:
+            cells[i], cells[j] = cells[j], cells[i]
+    elif how == "field" or fmt == "csv":
+        cell = cells[i]
+        edit = draw(st.sampled_from(["delete", "retype", "flip"]))
+        if edit == "flip":
+            flags = ["equal_12", "equal_13", "all_equal"] if fmt == "json" else [10, 11, 12]
+            key = draw(st.sampled_from(flags))
+            cell[key] = {True: False, False: True, "true": "false", "false": "true"}[cell[key]]
+        else:
+            key = draw(st.sampled_from(sorted(cell) if fmt == "json" else range(len(cell))))
+            if edit == "delete":
+                del cell[key]
+            else:
+                value = draw(st.sampled_from(_ODD_VALUES))
+                cell[key] = value if fmt == "json" else str(value)
+    else:
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(st.sampled_from(_ODD_VALUES))
+    if fmt == "json":
+        return json.dumps(doc, indent=1)
+    return "\n".join([header, *(",".join(cell) for cell in cells), ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corrupted_reports())
+def test_corrupted_reports_are_rejected_or_read_unchanged(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report"
+        path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        try:
+            loaded = read_report(path)
+        except ValueError:
+            loaded = None
+        elapsed = time.perf_counter() - start
+    assert loaded is None or loaded == scan(3, 6)
+    assert elapsed < 1.0
+
+
 def test_csv_round_trip_preserves_cells(tmp_path):
     report = scan(3, 6)
     path = tmp_path / "report.csv"
@@ -286,3 +436,13 @@ def test_invariant_suite_passes_on_small_grid():
     ]
     for r in results:
         assert r.passed, (r.name, r.detail)
+
+
+def test_invariant_suite_names_failing_cells(monkeypatch):
+    monkeypatch.setattr(scan_module, "schrodinger_diff", lambda s, v: DiffOp.identity())
+    result = run_invariant_suite(6, 10)[0]
+    assert result.name == "schrodinger-annihilation" and not result.passed
+    assert result.detail == (
+        "0/77 states annihilated exactly; "
+        "failing cells: (0,0), (0,1), (0,2), (0,3), (0,4) and 72 more"
+    )
