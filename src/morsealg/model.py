@@ -131,10 +131,14 @@ def physical_map(params: PhysicalParams, n: int = 0) -> tuple[float, float, floa
     if n < 0:
         raise ValueError("n must be non-negative")
     v = math.sqrt(8.0 * params.mass * params.v0) / (params.beta * params.hbar)
+    if not math.isfinite(v):
+        raise ValueError(f"v is not finite (v = {v!r})")
+    # compares the int n with the float v exactly, so a huge n is never
+    # converted to a float
+    if 2 * n + 1 > v:
+        raise NonBoundError(f"level n={n} is not bound (v = {v:.6g} < 2n + 1)")
     s = (v - 2 * n - 1) / 2
-    if s < 0:
-        raise NonBoundError(f"level n={n} is not bound (s = {s:.6g} < 0)")
     e = -((params.beta * params.hbar * s) ** 2) / (2.0 * params.mass)
-    if not all(map(math.isfinite, (v, s, e))):
-        raise ValueError(f"v, s or E is not finite (v = {v!r}, s = {s!r}, E = {e!r})")
+    if not math.isfinite(e):
+        raise ValueError(f"E is not finite (s = {s!r}, E = {e!r})")
     return v, s, e

@@ -270,6 +270,13 @@ def test_physical_non_bound_level():
     assert "not bound" in err
 
 
+def test_physical_level_beyond_float_range_is_not_bound():
+    constants = ["--v0", "1", "--beta", "1", "--mass", "1", "--hbar", "1"]
+    code, out, err = _run(["physical", *constants, "--n", "1" + "0" * 400])
+    assert code == 1 and out == ""
+    assert err.startswith("error: level n=1000") and "not bound" in err
+
+
 def test_physical_rejects_bad_constants():
     code, _, _ = _run(
         ["physical", "--v0", "-1", "--beta", "1", "--mass", "1", "--hbar", "1"]

@@ -176,6 +176,20 @@ def test_physical_map_non_bound_level():
         physical_map(params, 1)
 
 
+@pytest.mark.parametrize(
+    "v0, beta, mass, error, message",
+    [
+        (1.0, 1.0, 1.0, NonBoundError, "not bound"),
+        # v overflows to inf: rejected as not finite before n is compared
+        (1e308, 1e-308, 1e308, ValueError, "finite"),
+    ],
+)
+def test_physical_map_rejects_a_level_beyond_float_range(v0, beta, mass, error, message):
+    params = PhysicalParams(v0=v0, beta=beta, mass=mass, hbar=1.0)
+    with pytest.raises(error, match=message):
+        physical_map(params, 10**400)
+
+
 def test_physical_map_rejects_bad_constants():
     with pytest.raises(ValueError):
         physical_map(PhysicalParams(v0=-1.0, beta=1.0, mass=1.0, hbar=1.0), 0)

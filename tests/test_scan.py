@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import importlib
 import json
+import lzma
 import random
 import tempfile
 import time
@@ -12,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morsealg import (
@@ -20,6 +21,7 @@ from morsealg import (
     DiffOp,
     EigenStatus,
     OpClass,
+    RadicalScalar,
     SignClass,
     compute_cell,
     make_state,
@@ -30,10 +32,12 @@ from morsealg import (
     summarize,
     write_report,
 )
-from morsealg.scan import _cell_to_csv
+from morsealg.scan import _cell_to_csv, _row
 
 # the package's `scan` attribute is the function, so fetch the module itself
 scan_module = importlib.import_module("morsealg.scan")
+
+REPORT_FIXTURES = Path(__file__).parent.parent / "perfbench" / "fixtures"
 
 
 def test_cell_record_physical_example():
@@ -252,8 +256,13 @@ def _flip(row: dict, key: str) -> None:
     row[key] = not row[key]
 
 
+def _without_n_and_v(row: dict) -> dict:
+    return {k: x for k, x in row.items() if k not in ("n", "v")}
+
+
 # each edits the scan(3, 6) report as {"n_max", "v_max", "cells": [row dicts]};
-# cell 2 is (0, 2) with s = 1/2, cell 4 is (0, 4) with s = 3/2
+# cell 2 is (0, 2) with s = 1/2, cell 4 is (0, 4) with s = 3/2, cell 12 is
+# (1, 5) with s = 1
 _INCONSISTENT = {
     "flipped-all_equal": lambda doc: _flip(doc["cells"][4], "all_equal"),
     "flipped-equal_13": lambda doc: _flip(doc["cells"][4], "equal_13"),
@@ -265,6 +274,8 @@ _INCONSISTENT = {
     "missing-row": lambda doc: doc["cells"].pop(5),
     "extra-row": lambda doc: doc["cells"].append(doc["cells"][-1]),
     "swapped-rows": lambda doc: doc["cells"].insert(5, doc["cells"].pop(4)),
+    # a row tail already checked at v - 2n = 4, now at v - 2n = 3
+    "tail-of-another-v-2n": lambda doc: doc["cells"][12].update(_without_n_and_v(doc["cells"][4])),
 }
 
 
@@ -363,20 +374,117 @@ def _corrupted_reports(draw) -> str:
     return "\n".join([header, *(",".join(cell) for cell in cells), ""])
 
 
-@settings(max_examples=300, deadline=None)
-@given(_corrupted_reports())
-def test_corrupted_reports_are_rejected_or_read_unchanged(text):
+def _csv_prefix(rows: int) -> str:
+    """The CSV report of scan(3, 6) cut after its first `rows` cells."""
+    return "".join(_report_texts()["csv"].splitlines(keepends=True)[: rows + 1])
+
+
+def _read_or_none(text: str):
+    """read_report of a file holding text, or None when it raises ValueError."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report"
         path.write_text(text, encoding="utf-8")
-        start = time.perf_counter()
         try:
-            loaded = read_report(path)
+            return read_report(path)
         except ValueError:
-            loaded = None
-        elapsed = time.perf_counter() - start
-    assert loaded is None or loaded == scan(3, 6)
+            return None
+
+
+def _read_row_by_row(text: str):
+    """_read_or_none with a fresh memo for every row: each row derived and checked on its own."""
+    cell_from_row = scan_module._cell_from_row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            scan_module,
+            "_cell_from_row",
+            lambda stored, written, checked: cell_from_row(stored, written, {}),
+        )
+        return _read_or_none(text)
+
+
+# A CSV report stores no bounds, so a prefix that ends on a row closing a
+# smaller grid is, byte for byte, the report of that grid: (0, 0) closes
+# scan(0, 0) and (0, 6) closes scan(0, 6).
+@settings(max_examples=300, deadline=None)
+@given(_corrupted_reports())
+@example(_csv_prefix(1))
+@example(_csv_prefix(7))
+def test_corrupted_reports_are_rejected_or_read_unchanged(text):
+    start = time.perf_counter()
+    loaded = _read_or_none(text)
+    elapsed = time.perf_counter() - start
+    if loaded is not None and loaded != scan(3, 6):
+        assert _report_texts()["csv"].startswith(text)
+        assert loaded == scan(loaded.n_max, loaded.v_max)
     assert elapsed < 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corrupted_reports())
+@example(_csv_prefix(1))
+def test_memo_matches_row_by_row_reads(text):
+    assert _read_or_none(text) == _read_row_by_row(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_memo_matches_row_by_row_reads_on_the_full_grid(fmt):
+    text = lzma.decompress((REPORT_FIXTURES / f"report.{fmt}.xz").read_bytes()).decode("utf-8")
+    loaded = _read_or_none(text)
+    assert loaded is not None and (loaded.n_max, loaded.v_max) == (100, 100)
+    assert loaded == _read_row_by_row(text)
+
+
+def test_row_tail_depends_on_n_and_v_only_through_v_minus_2n():
+    # read_report checks each (v - 2n, row tail) once; this fails if a
+    # column after n and v ever depends on n or v alone
+    tails: dict[tuple, set] = {}
+    for cell in scan(6, 12).cells:
+        tails.setdefault((cell.v - 2 * cell.n, cell.ev1, cell.ev2), set()).add(_row(cell)[2:])
+    assert all(len(t) == 1 for t in tails.values())
+    assert len(tails) < 7 * 13
+
+
+# in the scan(3, 6) report cell 4 is (0, 4) and cell 13 is (1, 6): both have
+# v - 2n = 4 and the same row tail, so row 13 repeats the key of row 4
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_read_report_rejects_a_duplicated_row_by_the_grid_check(tmp_path, fmt):
+    doc = json.loads(_report_texts()["json"])
+    assert _without_n_and_v(doc["cells"][4]) == _without_n_and_v(doc["cells"][13])
+    doc["cells"][13] = dict(doc["cells"][4])
+    path = tmp_path / f"report.{fmt}"
+    path.write_text(json.dumps(doc) if fmt == "json" else _csv_text(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="grid"):
+        read_report(path)
+
+
+@pytest.mark.parametrize("written_n", ["01", "+1", " 1"])
+def test_read_report_rejects_a_non_canonical_n_on_a_repeated_key(tmp_path, written_n):
+    lines = _report_texts()["csv"].split("\n")
+    # line 0 is the header, so cell i is on line i + 1
+    assert lines[5].startswith("0,4,") and lines[14].startswith("1,6,")
+    assert lines[5][4:] == lines[14][4:]
+    lines[14] = written_n + lines[14][1:]
+    path = tmp_path / "report.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"row for cell \(1, 6\)"):
+        read_report(path)
+
+
+def test_read_report_parses_each_distinct_row_once(monkeypatch, tmp_path):
+    parses = []
+    parse = RadicalScalar.parse
+
+    def counting(text):
+        parses.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(RadicalScalar, "parse", counting)
+    path = tmp_path / "report.json"
+    path.write_bytes(lzma.decompress((REPORT_FIXTURES / "report.json.xz").read_bytes()))
+    loaded = read_report(path)
+    # v - 2n takes 301 values on the 101 x 101 grid; two eigenvalues each
+    assert len(loaded.cells) == 101 * 101
+    assert len(parses) <= 2 * 301
 
 
 def test_csv_round_trip_preserves_cells(tmp_path):
