@@ -131,6 +131,12 @@ class RadicalScalar:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a rational scalar equals its Fraction (and zero equals 0), so it hashes alike
+        if not self._terms:
+            return hash(0)
+        q = self._terms.get(_RATIONAL_KEY)
+        if q is not None and len(self._terms) == 1:
+            return hash(q)
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> RadicalScalar:

@@ -19,7 +19,7 @@ import json
 import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 
@@ -205,20 +205,17 @@ def _csv_values(values: tuple) -> tuple[str, ...]:
     return tuple(("true" if x else "false") if isinstance(x, bool) else str(x) for x in values)
 
 
-def _cell_to_csv(cell: CellRecord) -> str:
-    return ",".join(_csv_values(_row(cell)))
-
-
-def _cell_to_json(cell: CellRecord) -> dict:
-    row = _row(cell)
-    return dict(zip(_JSON_KEYS, row[:_K0_AT] + (str(cell.k0),) + row[_K0_AT:]))
-
-
 def write_report(report: ScanReport, format: str, path) -> None:
     """Persist a report as JSON (full) or CSV (fixed header, no k0 column).
 
-    I/O problems surface as the interpreter's usual OSError.
+    The bytes are those of json.dump(doc, indent=1) + "\n" and of the CSV
+    header plus one comma-joined row per cell.  Each distinct row tail (the
+    values written after n and v) is encoded once per call: the memo key is
+    the tail itself, so a cell's text is its own n and v followed by the
+    text of an equal tail.  I/O problems surface as the interpreter's usual
+    OSError.
     """
+    encoded: dict[tuple, str] = {}
     if format == "json":
         doc = {
             "n_max": report.n_max,
@@ -232,31 +229,48 @@ def write_report(report: ScanReport, format: str, path) -> None:
                 "all_equal_trivial": report.summary.all_equal_trivial,
                 "mismatches": [list(m) for m in report.summary.mismatches],
             },
-            "cells": [_cell_to_json(c) for c in report.cells],
+            "cells": [],
         }
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            # the document without cells ends in '"cells": []\n}'
+            fh.write(json.dumps(doc, indent=1)[:-3])
+            separator = ""
+            for cell in report.cells:
+                row = _row(cell)
+                tail = row[2:_K0_AT] + (str(cell.k0),) + row[_K0_AT:]
+                tail_text = encoded.get(tail)
+                if tail_text is None:
+                    # a cell sits at depth 2; drop the tail's opening brace
+                    tail_text = json.dumps(dict(zip(_JSON_KEYS[2:], tail)), indent=1)
+                    tail_text = encoded[tail] = tail_text.replace("\n", "\n  ")[1:]
+                fh.write(f'{separator}\n  {{\n   "n": {cell.n},\n   "v": {cell.v},{tail_text}')
+                separator = ","
+            fh.write("\n ]\n}\n" if report.cells else "]\n}\n")
     elif format == "csv":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             for cell in report.cells:
-                fh.write(_cell_to_csv(cell) + "\n")
+                tail = _row(cell)[2:]
+                tail_text = encoded.get(tail)
+                if tail_text is None:
+                    tail_text = encoded[tail] = ",".join(_csv_values(tail))
+                fh.write(f"{cell.n},{cell.v},{tail_text}\n")
     else:
         raise ValueError(f"unknown report format: {format!r}")
 
 
 def _cell_from_row(
-    stored: tuple, written: Callable[[tuple], tuple], checked: dict[tuple, CellRecord]
+    stored: tuple, written: Callable[[tuple], tuple], checked: dict[tuple, tuple]
 ) -> CellRecord:
     """Rebuild a cell from n, v and the eigenvalues of its stored row.
 
     Every other column is derived; ValueError unless written(_row(cell)),
     the row write_report would store for the rebuilt cell, equals the
     stored one.  The columns after n and v depend on (n, v) only through
-    v - 2n, so checked maps (v - 2n, stored[2:]) to a cell whose row passed
-    this check: a row with the same key is that cell at its own n and v,
-    and only its n and v columns are left to compare.
+    v - 2n, so checked maps (v - 2n, stored[2:]) to the fields after n and
+    v of a cell whose row passed this check: a row with the same key is
+    that cell at its own n and v, and only its n and v columns are left to
+    compare.
     """
     n, v, _, _, _, ev1, ev1_status, ev2, ev2_status = stored[:9]
     n, v = int(n), int(v)
@@ -265,7 +279,7 @@ def _cell_from_row(
     if known is not None:
         if written((n, v)) != stored[:2]:
             raise ValueError(f"inconsistent report row for cell ({n}, {v})")
-        return replace(known, n=n, v=v)
+        return CellRecord(n, v, *known)
     cell = _record(
         n,
         v,
@@ -274,7 +288,7 @@ def _cell_from_row(
     )
     if written(_row(cell)) != stored:
         raise ValueError(f"inconsistent report row for cell ({n}, {v})")
-    checked[key] = cell
+    checked[key] = tuple(getattr(cell, f.name) for f in fields(CellRecord)[2:])
     return cell
 
 
@@ -287,7 +301,7 @@ def read_report(path) -> ScanReport:
     derived and checked once per call.  The cells must fill the (n, v) grid
     in order.  Anything else raises ValueError.
     """
-    checked: dict[tuple, CellRecord] = {}
+    checked: dict[tuple, tuple] = {}
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:

@@ -163,6 +163,15 @@ def test_sqrt_squares_back(q):
     assert sqrt_of_rational(q) ** 2 == q
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(), st.integers())
+def test_rational_scalar_hashes_as_the_number_it_equals(q, k):
+    for x in (q, k, Fraction(k)):
+        scalar = RadicalScalar(x)
+        assert scalar == x and hash(scalar) == hash(x)
+        assert len({scalar, x}) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(radical_scalars(), radical_scalars())
 def test_mul_commutative(a, b):

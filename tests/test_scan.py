@@ -9,6 +9,7 @@ import lzma
 import random
 import tempfile
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from morsealg import (
     EigenStatus,
     OpClass,
     RadicalScalar,
+    ScanReport,
     SignClass,
     compute_cell,
     make_state,
@@ -32,7 +34,7 @@ from morsealg import (
     summarize,
     write_report,
 )
-from morsealg.scan import _cell_to_csv, _row
+from morsealg.scan import _row
 
 # the package's `scan` attribute is the function, so fetch the module itself
 scan_module = importlib.import_module("morsealg.scan")
@@ -105,15 +107,12 @@ def test_cells_beyond_the_grid():
         assert schrodinger_diff(cell.s, v).apply(state.wavefunction).is_zero, (n, v)
 
 
-def test_csv_rows_are_pinned():
-    assert (
-        _cell_to_csv(compute_cell(0, 2))
-        == "0,2,1/2,NonNegative,Proper,-1,Proper,-1,Proper,-1,true,true,true"
-    )
-    assert (
-        _cell_to_csv(compute_cell(0, 1))
-        == "0,1,0,NonNegative,Zero,0,TrivialZero,0,Proper,0,true,true,true"
-    )
+def test_csv_rows_are_pinned(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report(scan(0, 2), "csv", path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[2] == "0,1,0,NonNegative,Zero,0,TrivialZero,0,Proper,0,true,true,true"
+    assert lines[3] == "0,2,1/2,NonNegative,Proper,-1,Proper,-1,Proper,-1,true,true,true"
 
 
 def test_csv_header_is_pinned():
@@ -485,6 +484,87 @@ def test_read_report_parses_each_distinct_row_once(monkeypatch, tmp_path):
     # v - 2n takes 301 values on the 101 x 101 grid; two eigenvalues each
     assert len(loaded.cells) == 101 * 101
     assert len(parses) <= 2 * 301
+
+
+def _reference_text(report: ScanReport, fmt: str) -> str:
+    """The report as the stdlib writes it whole: json.dumps(doc, indent=1), or joined CSV rows."""
+    rows = [_row(cell) for cell in report.cells]
+    if fmt == "csv":
+        lines = [",".join(str(x).lower() if isinstance(x, bool) else str(x) for x in row) for row in rows]
+        return "\n".join([CSV_HEADER, *lines]) + "\n"
+    columns = CSV_HEADER.split(",")
+    at = columns.index("ev3") + 1
+    keys = [*columns[:at], "k0", *columns[at:]]
+    summary = report.summary
+    doc = {
+        "n_max": report.n_max,
+        "v_max": report.v_max,
+        "beta": "1",
+        "summary": {
+            "total": summary.total,
+            "op_class": summary.op_class_counts,
+            "s_sign": summary.sign_counts,
+            "all_equal_proper": summary.all_equal_proper,
+            "all_equal_trivial": summary.all_equal_trivial,
+            "mismatches": [list(m) for m in summary.mismatches],
+        },
+        "cells": [
+            dict(zip(keys, (*row[:at], str(cell.k0), *row[at:])))
+            for row, cell in zip(rows, report.cells)
+        ],
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _tail_sharing_report() -> ScanReport:
+    """Cells (0, 4), (1, 6), (2, 8): one v - 2n and one ev1, ev2, but (1, 6) has all_equal flipped."""
+    cells = (compute_cell(0, 4), replace(compute_cell(1, 6), all_equal=False), compute_cell(2, 8))
+    assert len({(c.v - 2 * c.n, c.ev1, c.ev2) for c in cells}) == 1
+    return ScanReport(2, 8, cells, summarize(cells))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "report",
+    [
+        pytest.param(lambda: scan(0, 0), id="scan(0,0)"),
+        pytest.param(lambda: scan(3, 6), id="scan(3,6)"),
+        pytest.param(lambda: scan(30, 30), id="scan(30,30)"),
+        pytest.param(lambda: ScanReport(0, 0, (), summarize(())), id="empty"),
+        pytest.param(_tail_sharing_report, id="shared-tail-flipped-flag"),
+    ],
+)
+def test_written_bytes_equal_the_stdlib_reference(tmp_path, fmt, report):
+    report = report()
+    path = tmp_path / f"report.{fmt}"
+    write_report(report, fmt, path)
+    assert path.read_bytes().decode("utf-8") == _reference_text(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_write_report_encodes_each_distinct_row_tail_once(monkeypatch, tmp_path, fmt):
+    fixture = lzma.decompress((REPORT_FIXTURES / f"report.{fmt}.xz").read_bytes())
+    path = tmp_path / f"report.{fmt}"
+    path.write_bytes(fixture)
+    report = read_report(path)
+    # an indented JSON dump encodes the key "all_equal" once per encoded
+    # cell; a CSV tail is converted by _csv_values
+    module, name = (json.encoder, "encode_basestring_ascii") if fmt == "json" else (scan_module, "_csv_values")
+    encode = getattr(module, name)
+    tails = []
+
+    def counting(x):
+        if fmt == "csv" or x == "all_equal":
+            tails.append(x)
+        return encode(x)
+
+    monkeypatch.setattr(module, name, counting)
+    write_report(report, fmt, path)
+    monkeypatch.undo()
+    # v - 2n takes 301 values on the 101 x 101 grid
+    assert len(report.cells) == 101 * 101
+    assert 0 < len(tails) <= 301
+    assert path.read_bytes() == fixture
 
 
 def test_csv_round_trip_preserves_cells(tmp_path):
