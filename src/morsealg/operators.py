@@ -16,8 +16,8 @@ import enum
 import math
 from fractions import Fraction
 
-from .functions import LaurentPoly, ScalarLike, WeightedFunction
-from .scalars import RadicalScalar, accumulate, sqrt_of_rational
+from .functions import _RATIONAL, LaurentPoly, ScalarLike, Unit, WeightedFunction
+from .scalars import RadicalScalar, _squarefree, accumulate, sqrt_of_rational
 
 
 class UndefinedOperatorError(ZeroDivisionError):
@@ -173,6 +173,50 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return a.compose(b) - b.compose(a)
 
 
+def _ratio(x: Fraction | int) -> tuple[int, int]:
+    """x as (numerator, denominator), the denominator positive."""
+    if isinstance(x, int):
+        return x, 1
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _op(terms: dict[int, dict[int, int]], den: int, unit: Unit) -> DiffOp:
+    """The operator sum_k (terms[k] / den * unit)(y) d^k/dy^k in normal form.
+
+    terms maps a derivative order to integer numerators by exponent; zero
+    numerators are dropped, and each coefficient is reduced on its own.
+    """
+    out: dict[int, LaurentPoly] = {}
+    for k, num in terms.items():
+        num = {e: c for e, c in num.items() if c}
+        if num:
+            out[k] = LaurentPoly._reduced(num, den, unit)
+    return DiffOp._raw(out)
+
+
+def _ladder(sigma: int, s: Fraction, v: Fraction | int) -> DiffOp:
+    """sqrt((s - sigma)/s) * [sigma(2s - sigma) d/dy + s(2s - sigma)/y - v/2].
+
+    k_plus at sigma = 1 and k_minus at sigma = -1, from integer numerators:
+    with s = a/b and v = c/e the bracket is over 2b^2e, and (s - sigma)/s is
+    p/a with p = a - sigma*b, already in lowest terms, so the prefactor is
+    sqrt(|pa|)/|a| = k*sqrt(r)/|a| with r squarefree, times i when pa < 0.
+    """
+    a, b = s.numerator, s.denominator
+    p = a - sigma * b
+    if not p:
+        return _ZERO_OP
+    k, r = _squarefree(abs(p * a))
+    c, e = _ratio(v)
+    t = 2 * a - sigma * b
+    return _op(
+        {1: {0: sigma * t * 2 * b * e * k}, 0: {-1: a * t * 2 * e * k, 0: -c * b * b * k}},
+        2 * b * b * e * abs(a),
+        (r, 1 if p * a < 0 else 0),
+    )
+
+
 def k_minus(s: Fraction, v: Fraction | int) -> DiffOp:
     """Lowering operator at weight s and depth v, prefactor folded in.
 
@@ -181,13 +225,7 @@ def k_minus(s: Fraction, v: Fraction | int) -> DiffOp:
     s = Fraction(s)
     if s == 0:
         raise UndefinedOperatorError("lowering operator undefined at s = 0")
-    op = DiffOp(
-        {
-            1: LaurentPoly({0: -(2 * s + 1)}),
-            0: LaurentPoly({-1: s * (2 * s + 1), 0: Fraction(-v, 2)}),
-        }
-    )
-    return op.scaled(sqrt_of_rational(Fraction(s + 1, s)))
+    return _ladder(-1, s, v)
 
 
 def k_plus(s: Fraction, v: Fraction | int) -> DiffOp:
@@ -198,24 +236,20 @@ def k_plus(s: Fraction, v: Fraction | int) -> DiffOp:
     s = Fraction(s)
     if s == 0:
         raise UndefinedOperatorError("raising operator undefined at s = 0")
-    op = DiffOp(
-        {
-            1: LaurentPoly({0: 2 * s - 1}),
-            0: LaurentPoly({-1: s * (2 * s - 1), 0: Fraction(-v, 2)}),
-        }
-    )
-    return op.scaled(sqrt_of_rational(Fraction(s - 1, s)))
+    return _ladder(1, s, v)
 
 
 def schrodinger_diff(s: Fraction, v: Fraction | int) -> DiffOp:
     """The operator y d2/dy2 + d/dy - s^2/y - y/4 + v/2, which kills the state."""
     s = Fraction(s)
-    return DiffOp(
-        {
-            2: LaurentPoly({1: 1}),
-            1: LaurentPoly({0: 1}),
-            0: LaurentPoly({-1: -(s * s), 1: Fraction(-1, 4), 0: Fraction(v, 2)}),
-        }
+    a, b = s.numerator, s.denominator
+    c, e = _ratio(v)
+    # over 4b^2e, with s = a/b and v = c/e
+    d = 4 * b * b * e
+    return _op(
+        {2: {1: d}, 1: {0: d}, 0: {-1: -4 * a * a * e, 1: -b * b * e, 0: 2 * b * b * c}},
+        d,
+        _RATIONAL,
     )
 
 
@@ -235,12 +269,14 @@ def k0_prime_simplified(s: Fraction, v: Fraction | int) -> DiffOp:
     s = Fraction(s)
     if s == 0:
         return DiffOp.zero()
-    return DiffOp(
-        {
-            2: LaurentPoly({0: -8 * s}),
-            1: LaurentPoly({-1: -8 * s}),
-            0: LaurentPoly({-2: 8 * s**3, -1: -4 * s * Fraction(v)}),
-        }
+    a, b = s.numerator, s.denominator
+    c, e = _ratio(v)
+    # over b^3e, with s = a/b and v = c/e
+    m = -8 * a * b * b * e
+    return _op(
+        {2: {0: m}, 1: {-1: m}, 0: {-2: 8 * a**3 * e, -1: -4 * a * b * b * c}},
+        b**3 * e,
+        _RATIONAL,
     )
 
 

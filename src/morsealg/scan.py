@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -292,6 +293,29 @@ def _cell_from_row(
     return cell
 
 
+_json_values = operator.itemgetter(*_COLUMNS)
+
+
+def _json_row(cell: dict) -> tuple:
+    """A JSON cell's stored values, in CSV_HEADER order.
+
+    n and v must be ints and the three flags bools, as write_report writes
+    them: 1 == 1.0 == True, so comparing rows, or looking a row tail up in
+    the read memo, cannot tell them apart.  The other columns are strings,
+    which equal only strings.
+    """
+    row = _json_values(cell)
+    if (
+        type(row[0]) is not int
+        or type(row[1]) is not int
+        or type(row[10]) is not bool
+        or type(row[11]) is not bool
+        or type(row[12]) is not bool
+    ):
+        raise ValueError(f"report row for cell ({row[0]!r}, {row[1]!r}) stores a value of the wrong type")
+    return row
+
+
 def read_report(path) -> ScanReport:
     """Load a report written by write_report, sniffing JSON versus CSV.
 
@@ -307,10 +331,12 @@ def read_report(path) -> ScanReport:
     try:
         if text.lstrip().startswith("{"):
             doc = json.loads(text)
-            rows = (tuple(c[k] for k in _COLUMNS) for c in doc["cells"])
+            rows = (_json_row(c) for c in doc["cells"])
             # JSON stores the row values as they are
             cells = tuple(_cell_from_row(row, tuple, checked) for row in rows)
-            n_max, v_max = int(doc["n_max"]), int(doc["v_max"])
+            n_max, v_max = doc["n_max"], doc["v_max"]
+            if type(n_max) is not int or type(v_max) is not int:
+                raise ValueError(f"report bounds are not integers: {n_max!r}, {v_max!r}")
         else:
             lines = [ln for ln in text.split("\n") if ln]
             if not lines or lines[0] != CSV_HEADER:

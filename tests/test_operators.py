@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from morsealg import (
     schrodinger_diff,
     sqrt_of_rational,
 )
+from morsealg import operators as operators_module
 
 from _strategies import diff_ops, laurent_polys, shared_unit, weighted_functions
 
@@ -106,6 +109,138 @@ def test_ladder_constructors_undefined_at_zero():
         k_minus(Fraction(0), 5)
     with pytest.raises(UndefinedOperatorError):
         k_plus(Fraction(0), 5)
+
+
+# The paper's literal forms of the four Morse constructors: Fraction
+# coefficients, each ladder coefficient multiplied by its RadicalScalar
+# prefactor.  They share no code with the integer-built constructors.
+def _k_plus_reference(s: Fraction, v) -> DiffOp:
+    if s == 0:
+        raise UndefinedOperatorError("raising operator undefined at s = 0")
+    pref = sqrt_of_rational((s - 1) / s)
+    return DiffOp(
+        {
+            1: LaurentPoly({0: pref * (2 * s - 1)}),
+            0: LaurentPoly({-1: pref * (s * (2 * s - 1)), 0: pref * Fraction(-v, 2)}),
+        }
+    )
+
+
+def _k_minus_reference(s: Fraction, v) -> DiffOp:
+    if s == 0:
+        raise UndefinedOperatorError("lowering operator undefined at s = 0")
+    pref = -sqrt_of_rational((s + 1) / s)
+    return DiffOp(
+        {
+            1: LaurentPoly({0: pref * (2 * s + 1)}),
+            0: LaurentPoly({-1: pref * (-s * (2 * s + 1)), 0: pref * Fraction(v, 2)}),
+        }
+    )
+
+
+def _schrodinger_reference(s: Fraction, v) -> DiffOp:
+    return DiffOp(
+        {
+            2: LaurentPoly({1: 1}),
+            1: LaurentPoly({0: 1}),
+            0: LaurentPoly({-1: -s * s, 1: Fraction(-1, 4), 0: Fraction(v) / 2}),
+        }
+    )
+
+
+def _k0_prime_simplified_reference(s: Fraction, v) -> DiffOp:
+    return DiffOp(
+        {
+            2: LaurentPoly({0: -8 * s}),
+            1: LaurentPoly({-1: -8 * s}),
+            0: LaurentPoly({-2: 8 * s**3, -1: -4 * s * Fraction(v)}),
+        }
+    )
+
+
+_REFERENCES = [
+    (k_plus, _k_plus_reference),
+    (k_minus, _k_minus_reference),
+    (schrodinger_diff, _schrodinger_reference),
+    (k0_prime_simplified, _k0_prime_simplified_reference),
+]
+
+
+def _assert_matches_reference(s: Fraction, v) -> None:
+    for built, reference in _REFERENCES:
+        try:
+            expected = reference(s, v)
+        except UndefinedOperatorError as e:
+            with pytest.raises(UndefinedOperatorError, match=re.escape(str(e))):
+                built(s, v)
+            continue
+        op = built(s, v)
+        assert op == expected and str(op) == str(expected), (built.__name__, s, v)
+
+
+def test_constructors_match_the_literal_forms_at_half_integer_weights():
+    # every weight s = a/2 with |a| <= 600 at two depths that cycle through
+    # 0..40, and every depth 0..40 across the band |s| <= 20
+    for a in range(-600, 601):
+        s = Fraction(a, 2)
+        for v in range(41) if abs(a) <= 40 else (a % 41, Fraction(a % 41, 3)):
+            _assert_matches_reference(s, v)
+
+
+def test_constructors_match_the_literal_forms_at_rational_parameters():
+    rng = random.Random(8)
+    weights = [Fraction(rng.randint(-300, 300), rng.randint(1, 7)) for _ in range(50)]
+    depths = [*range(41), Fraction(1, 3), Fraction(-7, 2), Fraction(22, 7), Fraction(40, 6), -5]
+    for s in weights:
+        for v in depths:
+            _assert_matches_reference(s, v)
+
+
+def test_constructors_at_degenerate_points():
+    for v in (0, 3, Fraction(5, 2)):
+        # the ladder constructors raise with the reference's message
+        _assert_matches_reference(Fraction(0), v)
+        assert k0_prime_simplified(Fraction(0), v).is_zero
+        # the prefactor sqrt((s - 1)/s) or sqrt((s + 1)/s) vanishes
+        assert k_plus(Fraction(1), v).is_zero and k_minus(Fraction(-1), v).is_zero
+        for s in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)):
+            _assert_matches_reference(s, v)
+    # at s = 1/2 (k_plus) and s = -1/2 (k_minus) the factor 2s -/+ 1 drops d/dy
+    assert k_plus(Fraction(1, 2), 3).max_order == 0
+    assert k_minus(Fraction(-1, 2), 3).max_order == 0
+    assert k_plus(Fraction(-1, 2), 3).max_order == k_minus(Fraction(1, 2), 3).max_order == 1
+    # at v = 0 no constant term is stored
+    for build in (k_plus, k_minus, schrodinger_diff):
+        assert build(Fraction(5, 2), 0).coeff(0).coeff(0) == 0
+        assert build(Fraction(5, 2), 1).coeff(0).coeff(0) != 0
+    assert k0_prime_simplified(Fraction(5, 2), 0).coeff(0).coeff(-1) == 0
+
+
+def test_constructors_stay_on_the_integer_path(monkeypatch):
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(operators_module, "sqrt_of_rational")
+    counting(RadicalScalar, "__mul__")
+    counting(RadicalScalar, "__rmul__")
+    counting(DiffOp, "scaled")
+    cells = [(Fraction(v - 2 * n - 1, 2), v) for n in range(20) for v in range(50)]
+    for s, v in cells:
+        schrodinger_diff(s, v), k0_prime_simplified(s, v)
+        if s:
+            k_plus(s, v), k_minus(s, v)
+    assert len(cells) == 1000 and calls == []
+    # the wrappers count: the reference pays a radical product per coefficient
+    _k_plus_reference(Fraction(5, 2), 3)
+    assert calls
 
 
 def test_diagonal_operator_form():

@@ -469,6 +469,44 @@ def test_read_report_rejects_a_non_canonical_n_on_a_repeated_key(tmp_path, writt
         read_report(path)
 
 
+# write_report writes n and v as JSON integers and the flags as JSON booleans.
+# 1 == 1.0 == True, so each edit below keeps the value and changes only its
+# type.  Cell 4, (0, 4), is the first row of its key, and cell 13, (1, 6),
+# repeats that key, so both the derived and the remembered row are checked.
+@pytest.mark.parametrize("cell", [4, 13])
+@pytest.mark.parametrize(
+    "key, retype",
+    [
+        ("n", bool),
+        ("n", float),
+        ("v", float),
+        ("equal_12", int),
+        ("equal_13", int),
+        ("equal_13", float),
+        ("all_equal", float),
+    ],
+)
+def test_read_report_rejects_json_numbers_and_flags_of_another_type(tmp_path, cell, key, retype):
+    doc = json.loads(_report_texts()["json"])
+    row = doc["cells"][cell]
+    assert retype(row[key]) == row[key] and type(retype(row[key])) is not type(row[key])
+    row[key] = retype(row[key])
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="wrong type"):
+        read_report(path)
+
+
+@pytest.mark.parametrize("bounds", [{"n_max": 3.0}, {"v_max": 6.0}, {"n_max": "3"}, {"v_max": "6"}])
+def test_read_report_rejects_json_bounds_of_another_type(tmp_path, bounds):
+    doc = json.loads(_report_texts()["json"])
+    doc.update(bounds)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="not integers"):
+        read_report(path)
+
+
 def test_read_report_parses_each_distinct_row_once(monkeypatch, tmp_path):
     parses = []
     parse = RadicalScalar.parse
