@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .model import NonBoundError, PhysicalParams, make_state, normalization, physical_map
+from .model import NonBoundError, PhysicalParams, make_state, physical_map
 from .operators import (
     UndefinedOperatorError,
     k0_diff,
@@ -143,8 +143,7 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     if not args.verbose:
         return 0
     state = make_state(n, v)
-    s = state.qn.s
-    norm = normalization(n, v)
+    s, norm = state.qn.s, state.normalization
     print(f"state: {state.wavefunction}")
     print(f"normalization: {norm if norm is not None else 'undefined'}")
     print(f"shifted commutator (closed form): {k0_prime_simplified(s, v)}")

@@ -93,20 +93,20 @@ def laguerre(n: int, alpha: Fraction | int) -> LaurentPoly:
     return LaurentPoly(num).scaled(Fraction(1, math.factorial(n) * q**n))
 
 
-def normalization(n: int, v: int, beta: Fraction | int = 1) -> RadicalScalar | None:
+def normalization(n: int, v: int) -> RadicalScalar | None:
     """The state's normalization constant, or None where it is undefined.
 
-    Equals sqrt(beta * (v - 2n - 1) * n! / (v - n - 1)!); that expression
-    needs v - n >= 1 (factorial argument) and v - 2n - 1 > 0 (positive
-    radicand), which on the integer grid means v >= 2n + 2.
+    Equals sqrt((v - 2n - 1) * n! / (v - n - 1)!); that expression needs a
+    positive radicand, v - 2n - 1 > 0, which on the integer grid means
+    v >= 2n + 2 (and implies the factorial argument v - n - 1 >= 0).
     """
     if n < 0 or v < 0:
         raise ValueError("n and v must be non-negative")
-    if v - n < 1 or v - 2 * n - 1 <= 0:
+    if v - 2 * n - 1 <= 0:
         return None
-    radicand = Fraction(beta) * (v - 2 * n - 1) * math.factorial(n)
-    radicand /= math.factorial(v - n - 1)
-    return sqrt_of_rational(radicand)
+    return sqrt_of_rational(
+        Fraction((v - 2 * n - 1) * math.factorial(n), math.factorial(v - n - 1))
+    )
 
 
 @lru_cache(maxsize=None)

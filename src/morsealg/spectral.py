@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .functions import Comparison, WeightedFunction
-from .model import make_state, normalization
+from .model import make_quantum_numbers, make_state
 from .operators import (
+    DiffOp,
     UndefinedOperatorError,
     k0_diff,
     k0_prime_composed,
@@ -57,6 +58,7 @@ class EigenResult:
 _TRIVIAL = EigenResult(ZERO, EigenStatus.TRIVIAL_ZERO)
 _NOT_EIGEN = EigenResult(ZERO, EigenStatus.NOT_EIGENFUNCTION)
 _UNDEFINED = EigenResult(ZERO, EigenStatus.OPERATOR_UNDEFINED)
+_PROPER_ZERO = EigenResult(ZERO, EigenStatus.PROPER)
 
 
 def extract_eigenvalue(result: WeightedFunction, state: WeightedFunction) -> EigenResult:
@@ -85,6 +87,15 @@ def extract_eigenvalue(result: WeightedFunction, state: WeightedFunction) -> Eig
     return EigenResult(num / den, EigenStatus.PROPER)
 
 
+def _action(op: DiffOp, state: WeightedFunction) -> EigenResult:
+    """op's eigenvalue on state: TrivialZero for the zero operator, Proper(0)
+    where a nonzero op annihilates the state, else extract_eigenvalue's."""
+    if op.is_zero:
+        return _TRIVIAL
+    r = extract_eigenvalue(op.apply(state), state)
+    return _PROPER_ZERO if r.status is EigenStatus.TRIVIAL_ZERO else r
+
+
 def eigenvalue_one(n: int, v: int) -> EigenResult:
     """Action of the closed-form shifted commutator on the (n, v) state.
 
@@ -92,24 +103,17 @@ def eigenvalue_one(n: int, v: int) -> EigenResult:
     identically; elsewhere Proper(2n - v + 1).
     """
     state = make_state(n, v)
-    op = k0_prime_simplified(state.qn.s, v)
-    if op.is_zero:
-        return _TRIVIAL
-    return extract_eigenvalue(op.apply(state.wavefunction), state.wavefunction)
+    return _action(k0_prime_simplified(state.qn.s, v), state.wavefunction)
 
 
 def eigenvalue_two(n: int, v: int) -> EigenResult:
     """Doubled action of the diagonal operator, reported on the same scale.
 
-    The diagonal operator is never the zero operator, so a vanishing result
-    (its eigenvalue is 0 at s = 0) is still a proper eigenrelation; it is
-    reported as Proper(0), not TrivialZero.
+    The diagonal operator is never the zero operator, so at s = 0, where its
+    eigenvalue is 0, the result is Proper(0), not TrivialZero.
     """
     state = make_state(n, v)
-    op = k0_diff(state.qn.s, n)
-    r = extract_eigenvalue(op.apply(state.wavefunction), state.wavefunction)
-    if r.status is EigenStatus.TRIVIAL_ZERO:
-        return EigenResult(ZERO, EigenStatus.PROPER)
+    r = _action(k0_diff(state.qn.s, n), state.wavefunction)
     if r.status is EigenStatus.PROPER:
         return EigenResult(r.value * 2, EigenStatus.PROPER)
     return r
@@ -133,10 +137,30 @@ def eigenvalue_composed(n: int, v: int) -> EigenResult:
         op = k0_prime_composed(state.qn.s, v)
     except UndefinedOperatorError:
         return _UNDEFINED
-    applied = op.apply(state.wavefunction)
-    if applied.is_zero and not op.is_zero:
-        return EigenResult(ZERO, EigenStatus.PROPER)
-    return extract_eigenvalue(applied, state.wavefunction)
+    return _action(op, state.wavefunction)
+
+
+def _ladder_relation(sigma: int, n: int, v: int) -> LadderOutcome:
+    """Check N_n * K psi_n = sqrt(k(v-k)) * N_m * psi_m, m = n + sigma, k = max(n, m).
+
+    K is the lowering operator for sigma = -1 and the raising one for
+    sigma = +1.  In domain when both normalization constants exist; m = -1
+    instead requires K to annihilate the ground state.
+    """
+    state = make_state(n, v)
+    if state.normalization is None:
+        return LadderOutcome.OUT_OF_DOMAIN
+    m = n + sigma
+    target = make_state(m, v) if m >= 0 else None
+    if target is not None and target.normalization is None:
+        return LadderOutcome.OUT_OF_DOMAIN
+    applied = (k_plus if sigma > 0 else k_minus)(state.qn.s, v).apply(state.wavefunction)
+    if target is None:
+        return LadderOutcome.HOLDS if applied.is_zero else LadderOutcome.FAILS
+    k = max(n, m)
+    factor = sqrt_of_rational(Fraction(k * (v - k))) * target.normalization
+    cmp = (applied * state.normalization).compare(target.wavefunction * factor)
+    return LadderOutcome.HOLDS if cmp is Comparison.EQUAL else LadderOutcome.FAILS
 
 
 def verify_lowering(n: int, v: int) -> LadderOutcome:
@@ -145,22 +169,7 @@ def verify_lowering(n: int, v: int) -> LadderOutcome:
     In domain when both normalization constants exist (v >= 2n + 2); the
     n = 0 branch instead requires exact annihilation of the ground state.
     """
-    norm_n = normalization(n, v)
-    if norm_n is None:
-        return LadderOutcome.OUT_OF_DOMAIN
-    state = make_state(n, v)
-    applied = k_minus(state.qn.s, v).apply(state.wavefunction)
-    if n == 0:
-        return LadderOutcome.HOLDS if applied.is_zero else LadderOutcome.FAILS
-    norm_prev = normalization(n - 1, v)
-    if norm_prev is None:
-        return LadderOutcome.OUT_OF_DOMAIN
-    lhs = applied * norm_n
-    factor = sqrt_of_rational(Fraction(n * (v - n))) * norm_prev
-    rhs = make_state(n - 1, v).wavefunction * factor
-    if lhs.compare(rhs) is Comparison.EQUAL:
-        return LadderOutcome.HOLDS
-    return LadderOutcome.FAILS
+    return _ladder_relation(-1, n, v)
 
 
 def verify_raising(n: int, v: int) -> LadderOutcome:
@@ -168,18 +177,7 @@ def verify_raising(n: int, v: int) -> LadderOutcome:
 
     In domain when both normalization constants exist (v >= 2n + 4).
     """
-    norm_n = normalization(n, v)
-    norm_next = normalization(n + 1, v)
-    if norm_n is None or norm_next is None:
-        return LadderOutcome.OUT_OF_DOMAIN
-    state = make_state(n, v)
-    applied = k_plus(state.qn.s, v).apply(state.wavefunction)
-    lhs = applied * norm_n
-    factor = sqrt_of_rational(Fraction((n + 1) * (v - n - 1))) * norm_next
-    rhs = make_state(n + 1, v).wavefunction * factor
-    if lhs.compare(rhs) is Comparison.EQUAL:
-        return LadderOutcome.HOLDS
-    return LadderOutcome.FAILS
+    return _ladder_relation(1, n, v)
 
 
 def verify_commutator_action(n: int, v: int) -> LadderOutcome:
@@ -188,8 +186,7 @@ def verify_commutator_action(n: int, v: int) -> LadderOutcome:
     In domain when |s| > 1, where the composed form exists and all four
     constituent radicands are non-negative.
     """
-    s = Fraction(v - 2 * n - 1, 2)
-    if abs(s) <= 1:
+    if abs(make_quantum_numbers(n, v).s) <= 1:
         return LadderOutcome.OUT_OF_DOMAIN
     r = eigenvalue_composed(n, v)
     if r.status is EigenStatus.PROPER and r.value == eigenvalue_three(n, v):

@@ -5,15 +5,20 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from morsealg import CSV_HEADER
 from morsealg.cli import run
 
+ROOT = Path(__file__).parent.parent
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -312,3 +317,45 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "morsealg" in proc.stdout
+
+
+# (argv, golden stdout file, exit code), recorded before the two ladder
+# checks were folded into one body
+GOLDEN_RUNS = [
+    (["ladder", "--v-max", "40"], "ladder_v40.txt", 0),
+    *(
+        (["cell", "--verbose", "--n", str(n), "--v", str(v)], f"cell_verbose_{n}_{v}.txt", 0)
+        for n, v in [(3, 11), (2, 3), (4, 2), (0, 1), (0, 2)]
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,golden,expected_code", GOLDEN_RUNS, ids=[g for _, g, _ in GOLDEN_RUNS]
+)
+def test_stdout_matches_golden(argv, golden, expected_code):
+    code, out, _ = _run(argv)
+    assert code == expected_code
+    assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
+def _readme_examples():
+    """Each `$ morsealg ...` line in a README code block, with the lines it prints."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```sh\n(\$ .*?)^```$", text, re.DOTALL | re.MULTILINE):
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                examples.append((shlex.split(line)[2:], []))
+            else:
+                examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_examples_match_cli():
+    examples = _readme_examples()
+    assert {"cell", "verify", "physical"} <= {argv[0] for argv, _ in examples}
+    for argv, lines in examples:
+        code, out, _ = _run(argv)
+        assert code == 0, argv
+        assert out.splitlines() == lines, argv

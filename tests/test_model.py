@@ -116,11 +116,6 @@ def test_normalization_undefined_on_factorial_pole():
     assert normalization(0, 0) is None
 
 
-def test_normalization_beta_scaling():
-    assert normalization(0, 2, beta=4) == RadicalScalar(2)
-    assert normalization(0, 2, beta=Fraction(1, 3)) == sqrt_of_rational(Fraction(1, 3))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 40), st.integers(0, 40))
 def test_normalization_defined_exactly_on_ladder_domain(n, v):

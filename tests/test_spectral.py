@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from morsealg import (
+    Comparison,
     EigenStatus,
     LadderOutcome,
     LaurentPoly,
@@ -20,8 +22,10 @@ from morsealg import (
     extract_eigenvalue,
     k0_prime_simplified,
     k_minus,
+    k_plus,
     make_state,
     naive_commutator,
+    normalization,
     sqrt_of_rational,
     verify_commutator_action,
     verify_lowering,
@@ -169,3 +173,62 @@ def test_ground_state_annihilation_along_depth_axis():
     for v in range(2, 12):
         psi = _psi(0, v)
         assert k_minus(psi.s, v).apply(psi).is_zero
+
+
+# The two ladder checks as separate bodies, each computing its normalization
+# constants afresh: the reference the shared implementation is held to.
+def _lowering_reference(n: int, v: int) -> LadderOutcome:
+    norm_n = normalization(n, v)
+    if norm_n is None:
+        return LadderOutcome.OUT_OF_DOMAIN
+    state = make_state(n, v)
+    applied = k_minus(state.qn.s, v).apply(state.wavefunction)
+    if n == 0:
+        return LadderOutcome.HOLDS if applied.is_zero else LadderOutcome.FAILS
+    norm_prev = normalization(n - 1, v)
+    if norm_prev is None:
+        return LadderOutcome.OUT_OF_DOMAIN
+    lhs = applied * norm_n
+    factor = sqrt_of_rational(Fraction(n * (v - n))) * norm_prev
+    rhs = make_state(n - 1, v).wavefunction * factor
+    if lhs.compare(rhs) is Comparison.EQUAL:
+        return LadderOutcome.HOLDS
+    return LadderOutcome.FAILS
+
+
+def _raising_reference(n: int, v: int) -> LadderOutcome:
+    norm_n = normalization(n, v)
+    norm_next = normalization(n + 1, v)
+    if norm_n is None or norm_next is None:
+        return LadderOutcome.OUT_OF_DOMAIN
+    state = make_state(n, v)
+    applied = k_plus(state.qn.s, v).apply(state.wavefunction)
+    lhs = applied * norm_n
+    factor = sqrt_of_rational(Fraction((n + 1) * (v - n - 1))) * norm_next
+    rhs = make_state(n + 1, v).wavefunction * factor
+    if lhs.compare(rhs) is Comparison.EQUAL:
+        return LadderOutcome.HOLDS
+    return LadderOutcome.FAILS
+
+
+def test_ladder_checks_match_reference_and_normalize_once_per_state(monkeypatch):
+    # count normalization calls made through every morsealg namespace that
+    # binds it; the reference bodies above keep the uncounted original
+    calls = 0
+
+    def counted(n, v):
+        nonlocal calls
+        calls += 1
+        return normalization(n, v)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "morsealg":
+            if vars(module).get("normalization") is normalization:
+                monkeypatch.setattr(module, "normalization", counted)
+    make_state.cache_clear()
+    # v = 2n .. 2n + 3 and n = 0 are the out-of-domain and ground-state edges
+    for v in range(71):
+        for n in range(v // 2 + 3):
+            assert verify_lowering(n, v) is _lowering_reference(n, v), (n, v)
+            assert verify_raising(n, v) is _raising_reference(n, v), (n, v)
+    assert calls == make_state.cache_info().misses
