@@ -62,7 +62,6 @@ from .spectral import (
     eigenvalue_three,
     eigenvalue_two,
     extract_eigenvalue,
-    verify_commutator_action,
     verify_lowering,
     verify_raising,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "schrodinger_diff",
     "sqrt_of_rational",
     "summarize",
-    "verify_commutator_action",
     "verify_lowering",
     "verify_raising",
     "write_report",

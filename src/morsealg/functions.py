@@ -17,13 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ZERO, RadicalScalar, accumulate
+from .scalars import _RATIONAL, ZERO, RadicalScalar, Unit, _unit_mul, accumulate
 
 ScalarLike = RadicalScalar | Fraction | int
-
-# the radical unit i^m * sqrt(r) as (r, m); (1, 0) is the rational unit
-Unit = tuple[int, int]
-_RATIONAL: Unit = (1, 0)
 
 
 def _split(c: ScalarLike) -> tuple[int, int, Unit]:
@@ -43,14 +39,6 @@ def _split(c: ScalarLike) -> tuple[int, int, Unit]:
         raise ArithmeticError(f"coefficient {c} is not a single radical term")
     ((unit, q),) = terms.items()
     return q.numerator, q.denominator, unit
-
-
-def _unit_mul(u: Unit, w: Unit) -> tuple[int, Unit]:
-    """u*w as k * unit with k an integer, as in RadicalScalar multiplication."""
-    (r1, m1), (r2, m2) = u, w
-    # r1, r2 squarefree: sqrt(r1)sqrt(r2) = g*sqrt(r1r2/g^2); i*i = -1
-    g = math.gcd(r1, r2)
-    return (-g if m1 and m2 else g), ((r1 // g) * (r2 // g), m1 ^ m2)
 
 
 class Comparison(enum.Enum):

@@ -16,8 +16,8 @@ import enum
 import math
 from fractions import Fraction
 
-from .functions import _RATIONAL, LaurentPoly, ScalarLike, Unit, WeightedFunction
-from .scalars import RadicalScalar, _squarefree, accumulate, sqrt_of_rational
+from .functions import LaurentPoly, ScalarLike, WeightedFunction
+from .scalars import _RATIONAL, RadicalScalar, Unit, _sqrt_unit, accumulate, sqrt_of_rational
 
 
 class UndefinedOperatorError(ZeroDivisionError):
@@ -201,19 +201,19 @@ def _ladder(sigma: int, s: Fraction, v: Fraction | int) -> DiffOp:
     k_plus at sigma = 1 and k_minus at sigma = -1, from integer numerators:
     with s = a/b and v = c/e the bracket is over 2b^2e, and (s - sigma)/s is
     p/a with p = a - sigma*b, already in lowest terms, so the prefactor is
-    sqrt(|pa|)/|a| = k*sqrt(r)/|a| with r squarefree, times i when pa < 0.
+    sqrt(pa)/|a| = k * unit / |a| with (k, unit) = _sqrt_unit(pa).
     """
     a, b = s.numerator, s.denominator
     p = a - sigma * b
     if not p:
         return _ZERO_OP
-    k, r = _squarefree(abs(p * a))
+    k, unit = _sqrt_unit(p * a)
     c, e = _ratio(v)
     t = 2 * a - sigma * b
     return _op(
         {1: {0: sigma * t * 2 * b * e * k}, 0: {-1: a * t * 2 * e * k, 0: -c * b * b * k}},
         2 * b * b * e * abs(a),
-        (r, 1 if p * a < 0 else 0),
+        unit,
     )
 
 

@@ -16,8 +16,9 @@ from fractions import Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# key of the purely rational term: radicand 1, i-exponent 0
-_RATIONAL_KEY = (1, 0)
+# the radical unit i^m * sqrt(r) as (r, m); (1, 0) is the rational unit
+Unit = tuple[int, int]
+_RATIONAL: Unit = (1, 0)
 
 _MAX_RADICAND = 10**6
 
@@ -68,6 +69,20 @@ def _squarefree(n: int) -> tuple[int, int]:
     return a, r * n
 
 
+def _sqrt_unit(x: int) -> tuple[int, Unit]:
+    """sqrt(x) for a nonzero integer x as k * unit: k > 0, r squarefree, i iff x < 0."""
+    k, r = _squarefree(abs(x))
+    return k, (r, 1 if x < 0 else 0)
+
+
+def _unit_mul(u: Unit, w: Unit) -> tuple[int, Unit]:
+    """u*w as k * unit with k an integer."""
+    (r1, m1), (r2, m2) = u, w
+    # r1, r2 squarefree: sqrt(r1)sqrt(r2) = g*sqrt(r1r2/g^2); i*i = -1
+    g = math.gcd(r1, r2)
+    return (-g if m1 and m2 else g), ((r1 // g) * (r2 // g), m1 ^ m2)
+
+
 class RadicalScalar:
     """Finite sum of q*i^m*sqrt(r) terms in normal form.
 
@@ -83,17 +98,17 @@ class RadicalScalar:
             self._terms = value._terms
             return
         q = Fraction(value)
-        self._terms: dict[tuple[int, int], Fraction] = {_RATIONAL_KEY: q} if q else {}
+        self._terms: dict[Unit, Fraction] = {_RATIONAL: q} if q else {}
 
     @classmethod
-    def _raw(cls, terms: dict[tuple[int, int], Fraction]) -> RadicalScalar:
+    def _raw(cls, terms: dict[Unit, Fraction]) -> RadicalScalar:
         # private: terms must already be in normal form
         self = object.__new__(cls)
         self._terms = terms
         return self
 
     @property
-    def terms(self) -> dict[tuple[int, int], Fraction]:
+    def terms(self) -> dict[Unit, Fraction]:
         """Normal-form term map {(radicand, i_exponent): coefficient}."""
         return dict(self._terms)
 
@@ -104,7 +119,7 @@ class RadicalScalar:
     @property
     def is_rational(self) -> bool:
         return not self._terms or (
-            len(self._terms) == 1 and _RATIONAL_KEY in self._terms
+            len(self._terms) == 1 and _RATIONAL in self._terms
         )
 
     def as_rational(self) -> Fraction:
@@ -112,7 +127,7 @@ class RadicalScalar:
         if not self._terms:
             return _ZERO
         if len(self._terms) == 1:
-            q = self._terms.get(_RATIONAL_KEY)
+            q = self._terms.get(_RATIONAL)
             if q is not None:
                 return q
         raise NotRationalError(f"not a rational value: {self}")
@@ -127,14 +142,14 @@ class RadicalScalar:
             q = Fraction(other)
             if not q:
                 return not self._terms
-            return self._terms == {_RATIONAL_KEY: q}
+            return self._terms == {_RATIONAL: q}
         return NotImplemented
 
     def __hash__(self) -> int:
         # a rational scalar equals its Fraction (and zero equals 0), so it hashes alike
         if not self._terms:
             return hash(0)
-        q = self._terms.get(_RATIONAL_KEY)
+        q = self._terms.get(_RATIONAL)
         if q is not None and len(self._terms) == 1:
             return hash(q)
         return hash(frozenset(self._terms.items()))
@@ -174,27 +189,17 @@ class RadicalScalar:
         if not a or not b:
             return ZERO
         # fast path: purely rational factor on either side
-        if len(b) == 1 and _RATIONAL_KEY in b:
-            q = b[_RATIONAL_KEY]
+        if len(b) == 1 and _RATIONAL in b:
+            q = b[_RATIONAL]
             return RadicalScalar._raw({k: p * q for k, p in a.items()})
-        if len(a) == 1 and _RATIONAL_KEY in a:
-            q = a[_RATIONAL_KEY]
+        if len(a) == 1 and _RATIONAL in a:
+            q = a[_RATIONAL]
             return RadicalScalar._raw({k: p * q for k, p in b.items()})
-        products: list[tuple[tuple[int, int], Fraction]] = []
-        for (r1, m1), q1 in a.items():
-            for (r2, m2), q2 in b.items():
-                q = q1 * q2
-                if m1 and m2:
-                    q = -q  # i*i = -1
-                if r1 == r2:
-                    key = (1, (m1 + m2) % 2)
-                    q *= r1
-                else:
-                    # r1, r2 squarefree: sqrt(r1)sqrt(r2) = g*sqrt(r1r2/g^2)
-                    g = math.gcd(r1, r2)
-                    key = ((r1 // g) * (r2 // g), (m1 + m2) % 2)
-                    q *= g
-                products.append((key, q))
+        products: list[tuple[Unit, Fraction]] = []
+        for u, q1 in a.items():
+            for w, q2 in b.items():
+                k, unit = _unit_mul(u, w)
+                products.append((unit, q1 * q2 * k))
         return RadicalScalar._raw(accumulate({}, products))
 
     __rmul__ = __mul__
@@ -207,12 +212,10 @@ class RadicalScalar:
             raise ZeroDivisionError("division by zero scalar")
         if len(other._terms) > 1:
             raise ArithmeticError("division by multi-term radical sums is not supported")
-        ((r, m), q) = next(iter(other._terms.items()))
-        # (q * i^m * sqrt(r))^-1 = (-1)^m / (q*r) * i^m * sqrt(r)
-        inv_q = _ONE / (q * r)
-        if m:
-            inv_q = -inv_q
-        return self * RadicalScalar._raw({(r, m): inv_q})
+        ((u, q),) = other._terms.items()
+        # (q*u)^-1 = u / (q*k), where u*u = k is an integer
+        k, _ = _unit_mul(u, u)
+        return self * RadicalScalar._raw({u: _ONE / (q * k)})
 
     def __pow__(self, n: int) -> RadicalScalar:
         if not isinstance(n, int) or n < 0:
@@ -269,8 +272,8 @@ class RadicalScalar:
                 q *= a
             key = (r, 1 if imag else 0)
             if q and r:
-                # share the one rational key, as every other constructor does
-                out = out + cls._raw({_RATIONAL_KEY if key == _RATIONAL_KEY else key: q})
+                # share the one rational unit, as every other constructor does
+                out = out + cls._raw({_RATIONAL if key == _RATIONAL else key: q})
         return out
 
 
@@ -290,15 +293,11 @@ def sqrt_of_rational(x: Fraction | int) -> RadicalScalar:
     x = Fraction(x)
     if not x:
         return ZERO
-    m = 0
-    if x < 0:
-        x = -x
-        m = 1
     # sqrt(p/q) = sqrt(p*q)/q
-    a, r = _squarefree(x.numerator * x.denominator)
-    return RadicalScalar._raw({(r, m): Fraction(a, x.denominator)})
+    k, unit = _sqrt_unit(x.numerator * x.denominator)
+    return RadicalScalar._raw({unit: Fraction(k, x.denominator)})
 
 
 ZERO = RadicalScalar._raw({})
-ONE = RadicalScalar._raw({_RATIONAL_KEY: _ONE})
+ONE = RadicalScalar._raw({_RATIONAL: _ONE})
 I = RadicalScalar._raw({(1, 1): _ONE})

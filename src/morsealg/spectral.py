@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .functions import Comparison, WeightedFunction
-from .model import make_quantum_numbers, make_state
+from .model import make_state
 from .operators import (
     DiffOp,
     UndefinedOperatorError,
@@ -178,17 +178,3 @@ def verify_raising(n: int, v: int) -> LadderOutcome:
     In domain when both normalization constants exist (v >= 2n + 4).
     """
     return _ladder_relation(1, n, v)
-
-
-def verify_commutator_action(n: int, v: int) -> LadderOutcome:
-    """Check the composition-built commutator scales the state by 2n - v + 1.
-
-    In domain when |s| > 1, where the composed form exists and all four
-    constituent radicands are non-negative.
-    """
-    if abs(make_quantum_numbers(n, v).s) <= 1:
-        return LadderOutcome.OUT_OF_DOMAIN
-    r = eigenvalue_composed(n, v)
-    if r.status is EigenStatus.PROPER and r.value == eigenvalue_three(n, v):
-        return LadderOutcome.HOLDS
-    return LadderOutcome.FAILS

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsealg import NotRationalError, RadicalScalar, sqrt_of_rational
+from morsealg.scalars import _sqrt_unit, accumulate
 
-from _strategies import radical_scalars, small_fractions
+from _strategies import nonzero_fractions, radical_scalars, small_fractions
 
 
 def test_sqrt_of_perfect_square_is_rational():
@@ -223,3 +224,82 @@ def test_to_complex_consistent_with_mul(a, b):
 def test_division_inverts_multiplication(a, r):
     b = sqrt_of_rational(r) * Fraction(3, 2)
     assert (a * b) / b == a
+
+
+# The unit rules written out in full, one copy per operation and with their
+# own factoring: the reference that _unit_mul and _sqrt_unit are held to.
+# Each works on term maps {(r, m): q}.
+def _mul_reference(a: dict, b: dict) -> dict:
+    products = []
+    for (r1, m1), q1 in a.items():
+        for (r2, m2), q2 in b.items():
+            q = q1 * q2
+            if m1 and m2:
+                q = -q  # i*i = -1
+            if r1 == r2:
+                key = (1, (m1 + m2) % 2)
+                q *= r1
+            else:
+                # r1, r2 squarefree: sqrt(r1)sqrt(r2) = g*sqrt(r1r2/g^2)
+                g = math.gcd(r1, r2)
+                key = ((r1 // g) * (r2 // g), (m1 + m2) % 2)
+                q *= g
+            products.append((key, q))
+    return accumulate({}, products)
+
+
+def _div_reference(a: dict, b: dict) -> dict:
+    ((r, m), q) = next(iter(b.items()))
+    # (q * i^m * sqrt(r))^-1 = (-1)^m / (q*r) * i^m * sqrt(r)
+    inv_q = Fraction(1) / (q * r)
+    if m:
+        inv_q = -inv_q
+    return _mul_reference(a, {(r, m): inv_q})
+
+
+def _sqrt_reference(x: Fraction) -> dict:
+    if not x:
+        return {}
+    m = 0
+    if x < 0:
+        x = -x
+        m = 1
+    # sqrt(p/q) = sqrt(p*q)/q, with p*q split as a**2 * r by trial division
+    n, a, d = x.numerator * x.denominator, 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            a *= d
+        d += 1
+    return {(n, m): Fraction(a, x.denominator)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(radical_scalars(), radical_scalars())
+def test_mul_matches_reference(a, b):
+    assert (a * b).terms == _mul_reference(a.terms, b.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(radical_scalars(), nonzero_fractions, st.integers(-30, 30).filter(bool))
+def test_div_by_single_term_matches_reference(a, q, x):
+    b = sqrt_of_rational(x) * q
+    assert (a / b).terms == _div_reference(a.terms, b.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_fractions)
+def test_sqrt_of_rational_matches_reference(x):
+    assert sqrt_of_rational(x).terms == _sqrt_reference(x)
+
+
+def test_sqrt_unit_normal_form():
+    limit = 5000
+    squarefree = [True] * (limit + 1)
+    for d in range(2, math.isqrt(limit) + 1):
+        squarefree[d * d :: d * d] = [False] * len(squarefree[d * d :: d * d])
+    for x in range(-limit, limit + 1):
+        if x:
+            k, (r, m) = _sqrt_unit(x)
+            assert k > 0 and squarefree[r] and k * k * r == abs(x)
+            assert m == (1 if x < 0 else 0)

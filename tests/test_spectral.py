@@ -27,7 +27,6 @@ from morsealg import (
     naive_commutator,
     normalization,
     sqrt_of_rational,
-    verify_commutator_action,
     verify_lowering,
     verify_raising,
 )
@@ -161,12 +160,6 @@ def test_verify_raising_examples():
     assert verify_raising(0, 4) is LadderOutcome.HOLDS
     assert verify_raising(0, 6) is LadderOutcome.HOLDS
     assert verify_raising(1, 5) is LadderOutcome.OUT_OF_DOMAIN
-
-
-def test_verify_commutator_action_examples():
-    assert verify_commutator_action(0, 6) is LadderOutcome.HOLDS
-    assert verify_commutator_action(0, 3) is LadderOutcome.OUT_OF_DOMAIN
-    assert verify_commutator_action(1, 9) is LadderOutcome.HOLDS
 
 
 def test_ground_state_annihilation_along_depth_axis():
