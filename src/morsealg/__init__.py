@@ -1,9 +1,9 @@
 """Exact ladder-operator algebra for the Morse oscillator.
 
-Scalars are rationals extended by square roots, functions live in the closed
-family exp(-y/2) * y^s * P(y) with Laurent P, and operators act on that
-family exactly; eigenvalues and ladder relations are therefore verified by
-identity, not numerically.
+A scalar is a rational times one radical unit i^m * sqrt(r), functions
+live in the closed family exp(-y/2) * y^s * P(y) with Laurent P, and
+operators act on that family exactly; eigenvalues and ladder relations are
+therefore verified by identity, not numerically.
 """
 
 from .functions import Comparison, LaurentPoly, WeightedFunction

@@ -11,7 +11,6 @@ every operator application below stays exact.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -25,20 +24,14 @@ ScalarLike = RadicalScalar | Fraction | int
 def _split(c: ScalarLike) -> tuple[int, int, Unit]:
     """c as numerator / denominator * unit, the denominator positive.
 
-    ArithmeticError for a sum of two or more radical terms.
+    TypeError unless c is an int, a Fraction or a RadicalScalar.
     """
     if isinstance(c, int):
         return c, 1, _RATIONAL
     if not isinstance(c, RadicalScalar):
-        q = c if isinstance(c, Fraction) else Fraction(c)
-        return q.numerator, q.denominator, _RATIONAL
-    terms = c.terms
-    if not terms:
-        return 0, 1, _RATIONAL
-    if len(terms) > 1:
-        raise ArithmeticError(f"coefficient {c} is not a single radical term")
-    ((unit, q),) = terms.items()
-    return q.numerator, q.denominator, unit
+        c = RadicalScalar(c)
+    q = c._q
+    return q.numerator, q.denominator, c._unit
 
 
 class Comparison(enum.Enum):
@@ -130,7 +123,7 @@ class LaurentPoly:
         return max(self._num)
 
     def _scalar(self, c: int) -> RadicalScalar:
-        return RadicalScalar._raw({self._unit: Fraction(c, self._den)})
+        return RadicalScalar._raw(Fraction(c, self._den), self._unit)
 
     def coeff(self, exponent: int) -> RadicalScalar:
         c = self._num.get(exponent)
@@ -216,11 +209,6 @@ class LaurentPoly:
         out = {e - 1: c * e for e, c in self._num.items() if e}
         return LaurentPoly._reduced(out, self._den, self._unit)
 
-    def evaluate(self, y: complex) -> complex:
-        r, m = self._unit
-        unit = math.sqrt(r) * (1j if m else 1)
-        return sum((c / self._den * y**e for e, c in self._num.items()), 0j) * unit
-
     def __str__(self) -> str:
         if not self._num:
             return "0"
@@ -304,12 +292,6 @@ class WeightedFunction:
         if self.poly == other.poly.shifted(int(d)):
             return Comparison.EQUAL
         return Comparison.UNEQUAL
-
-    def evaluate(self, y: float) -> complex:
-        """Numerical value at y > 0 (complex if coefficients carry an i part)."""
-        if y <= 0:
-            raise ValueError("weighted functions live on y > 0")
-        return cmath.exp(-y / 2) * y ** float(self.s) * self.poly.evaluate(y)
 
     def __str__(self) -> str:
         return f"exp(-y/2) * y^({self.s}) * ({self.poly})"

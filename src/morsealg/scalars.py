@@ -1,9 +1,11 @@
-"""Exact scalar arithmetic: rationals plus a closed radical extension.
+"""Exact scalar arithmetic: a rational times one radical unit.
 
-Every scalar this package computes with is a finite sum of terms
-``q * i^m * sqrt(r)`` where ``q`` is a rational, ``m`` is 0 or 1 and ``r`` is
-a squarefree positive integer.  Sums of that shape are closed under addition
-and multiplication, which is all the operator algebra ever needs, so no
+Every scalar this package computes with is one term ``q * i^m * sqrt(r)``
+where ``q`` is a rational, ``m`` is 0 or 1 and ``r`` is a squarefree
+positive integer.  The radicals come only from the ladder prefactors
+``sqrt((s -+ 1)/s)`` and the normalization constants, each one such term.
+Terms are closed under multiplication and division, and terms sharing a
+unit under addition, which is all the operator algebra ever needs, so no
 floating point enters the pipeline.
 """
 
@@ -22,7 +24,8 @@ _RATIONAL: Unit = (1, 0)
 
 _MAX_RADICAND = 10**6
 
-_TERM_RE = re.compile(r"^(i\*)?(-?\d+(?:/\d+)?)(?:\*sqrt\((\d+)\))?$")
+# one term; a denominator needs a nonzero digit, so "1/0" is malformed text
+_TERM_RE = re.compile(r"^(i\*)?(-?\d+(?:/\d*[1-9]\d*)?)(?:\*sqrt\((\d+)\))?$")
 
 
 class NotRationalError(ArithmeticError):
@@ -84,88 +87,81 @@ def _unit_mul(u: Unit, w: Unit) -> tuple[int, Unit]:
 
 
 class RadicalScalar:
-    """Finite sum of q*i^m*sqrt(r) terms in normal form.
+    """One term q * i^m * sqrt(r): a rational q times the radical unit (r, m).
 
-    Normal form: radicands squarefree and >= 1, i-exponents reduced mod 2,
-    no zero coefficients stored.  Two scalars are equal iff their term maps
-    are identical.  Instances are immutable.
+    Normal form: r squarefree and >= 1, m 0 or 1, and zero carries the
+    rational unit (1, 0).  Two scalars are equal iff their q and unit are.
+    Adding two nonzero scalars with different units raises ArithmeticError,
+    as adding Laurent polynomials does.  Instances are immutable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_q", "_unit")
 
     def __init__(self, value: RadicalScalar | Fraction | int = 0):
-        if isinstance(value, RadicalScalar):
-            self._terms = value._terms
-            return
-        q = Fraction(value)
-        self._terms: dict[Unit, Fraction] = {_RATIONAL: q} if q else {}
+        x = _coerce(value)
+        if x is NotImplemented:
+            raise TypeError(f"not an int, Fraction or RadicalScalar: {value!r}")
+        self._q = x._q
+        self._unit = x._unit
 
     @classmethod
-    def _raw(cls, terms: dict[Unit, Fraction]) -> RadicalScalar:
-        # private: terms must already be in normal form
+    def _raw(cls, q: Fraction, unit: Unit) -> RadicalScalar:
+        # private: q and unit must already be in normal form
         self = object.__new__(cls)
-        self._terms = terms
+        self._q = q
+        self._unit = unit
         return self
 
     @property
     def terms(self) -> dict[Unit, Fraction]:
-        """Normal-form term map {(radicand, i_exponent): coefficient}."""
-        return dict(self._terms)
+        """The term map {(radicand, i_exponent): coefficient}: empty for zero."""
+        return {self._unit: self._q} if self._q else {}
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._q
 
     @property
     def is_rational(self) -> bool:
-        return not self._terms or (
-            len(self._terms) == 1 and _RATIONAL in self._terms
-        )
+        return self._unit == _RATIONAL
 
     def as_rational(self) -> Fraction:
         """The rational value, or NotRationalError if a radical survives."""
-        if not self._terms:
-            return _ZERO
-        if len(self._terms) == 1:
-            q = self._terms.get(_RATIONAL)
-            if q is not None:
-                return q
-        raise NotRationalError(f"not a rational value: {self}")
+        if self._unit != _RATIONAL:
+            raise NotRationalError(f"not a rational value: {self}")
+        return self._q
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._q)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RadicalScalar):
-            return self._terms == other._terms
+            return self._q == other._q and self._unit == other._unit
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return not self._terms
-            return self._terms == {_RATIONAL: q}
+            return self._unit == _RATIONAL and self._q == other
         return NotImplemented
 
     def __hash__(self) -> int:
         # a rational scalar equals its Fraction (and zero equals 0), so it hashes alike
-        if not self._terms:
-            return hash(0)
-        q = self._terms.get(_RATIONAL)
-        if q is not None and len(self._terms) == 1:
-            return hash(q)
-        return hash(frozenset(self._terms.items()))
+        if self._unit == _RATIONAL:
+            return hash(self._q)
+        return hash((self._q, self._unit))
 
     def __neg__(self) -> RadicalScalar:
-        return RadicalScalar._raw({k: -q for k, q in self._terms.items()})
+        return RadicalScalar._raw(-self._q, self._unit)
 
     def __add__(self, other) -> RadicalScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        return RadicalScalar._raw(accumulate(dict(self._terms), other._terms.items()))
+        if self._unit != other._unit:
+            if not self._q:
+                return other
+            if not other._q:
+                return self
+            raise ArithmeticError("cannot add scalars with different radical units")
+        q = self._q + other._q
+        return RadicalScalar._raw(q, self._unit) if q else ZERO
 
     __radd__ = __add__
 
@@ -185,22 +181,11 @@ class RadicalScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a or not b:
+        q = self._q * other._q
+        if not q:
             return ZERO
-        # fast path: purely rational factor on either side
-        if len(b) == 1 and _RATIONAL in b:
-            q = b[_RATIONAL]
-            return RadicalScalar._raw({k: p * q for k, p in a.items()})
-        if len(a) == 1 and _RATIONAL in a:
-            q = a[_RATIONAL]
-            return RadicalScalar._raw({k: p * q for k, p in b.items()})
-        products: list[tuple[Unit, Fraction]] = []
-        for u, q1 in a.items():
-            for w, q2 in b.items():
-                k, unit = _unit_mul(u, w)
-                products.append((unit, q1 * q2 * k))
-        return RadicalScalar._raw(accumulate({}, products))
+        k, unit = _unit_mul(self._unit, other._unit)
+        return RadicalScalar._raw(q * k if k != 1 else q, unit)
 
     __rmul__ = __mul__
 
@@ -208,14 +193,12 @@ class RadicalScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other._terms:
+        if not other._q:
             raise ZeroDivisionError("division by zero scalar")
-        if len(other._terms) > 1:
-            raise ArithmeticError("division by multi-term radical sums is not supported")
-        ((u, q),) = other._terms.items()
         # (q*u)^-1 = u / (q*k), where u*u = k is an integer
+        u = other._unit
         k, _ = _unit_mul(u, u)
-        return self * RadicalScalar._raw({u: _ONE / (q * k)})
+        return self * RadicalScalar._raw(_ONE / (other._q * k), u)
 
     def __pow__(self, n: int) -> RadicalScalar:
         if not isinstance(n, int) or n < 0:
@@ -225,63 +208,45 @@ class RadicalScalar:
             out = out * self
         return out
 
-    def to_complex(self) -> complex:
-        """Floating-point value (complex when an i-term is present)."""
-        re_part = 0.0
-        im_part = 0.0
-        for (r, m), q in self._terms.items():
-            x = float(q) * math.sqrt(r)
-            if m:
-                im_part += x
-            else:
-                re_part += x
-        return complex(re_part, im_part)
-
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (r, m) in sorted(self._terms, key=lambda k: (k[1], k[0])):
-            q = self._terms[(r, m)]
-            piece = str(q) if r == 1 else f"{q}*sqrt({r})"
-            if m:
-                piece = "i*" + piece
-            parts.append(piece)
-        return "+".join(parts)
+        q, (r, m) = self._q, self._unit
+        text = str(q) if r == 1 else f"{q}*sqrt({r})"
+        return "i*" + text if m else text
 
     def __repr__(self) -> str:
         return f"RadicalScalar({str(self)!r})"
 
     @classmethod
     def parse(cls, text: str) -> RadicalScalar:
-        """Inverse of str(); accepts e.g. '-1', '1/3*sqrt(3)', 'i*1+2*sqrt(2)'.
+        """Inverse of str(); accepts one term, e.g. '-1', '1/3*sqrt(3)', 'i*2'.
 
         A radicand above 10**6 raises ValueError before it is factored, which
         bounds the trial division; the eigenvalues in a report are rational.
         """
-        out = ZERO
-        for part in text.strip().split("+"):
-            m = _TERM_RE.match(part.strip())
-            if m is None:
-                raise ValueError(f"malformed scalar term: {part!r}")
-            imag, q, r = m.group(1), Fraction(m.group(2)), int(m.group(3) or 1)
-            if r > _MAX_RADICAND:
-                raise ValueError(f"radicand above {_MAX_RADICAND}: {r}")
-            if r > 1:
-                a, r = _squarefree(r)
-                q *= a
-            key = (r, 1 if imag else 0)
-            if q and r:
-                # share the one rational unit, as every other constructor does
-                out = out + cls._raw({_RATIONAL if key == _RATIONAL else key: q})
-        return out
+        m = _TERM_RE.match(text.strip())
+        if m is None:
+            raise ValueError(f"malformed scalar: {text!r}")
+        imag, q, r = m.group(1), Fraction(m.group(2)), int(m.group(3) or 1)
+        if r > _MAX_RADICAND:
+            raise ValueError(f"radicand above {_MAX_RADICAND}: {r}")
+        if not q or not r:
+            return ZERO
+        if r > 1:
+            a, r = _squarefree(r)
+            q *= a
+        return cls._raw(q, (r, 1 if imag else 0))
 
 
 def _coerce(value) -> RadicalScalar:
+    """value as a scalar; NotImplemented unless an int, a Fraction or a RadicalScalar.
+
+    The one conversion into the exact types: a float or a string is refused,
+    not rounded to a nearby rational.
+    """
     if isinstance(value, RadicalScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return RadicalScalar(value)
+        return RadicalScalar._raw(Fraction(value), _RATIONAL)
     return NotImplemented
 
 
@@ -295,9 +260,9 @@ def sqrt_of_rational(x: Fraction | int) -> RadicalScalar:
         return ZERO
     # sqrt(p/q) = sqrt(p*q)/q
     k, unit = _sqrt_unit(x.numerator * x.denominator)
-    return RadicalScalar._raw({unit: Fraction(k, x.denominator)})
+    return RadicalScalar._raw(Fraction(k, x.denominator), unit)
 
 
-ZERO = RadicalScalar._raw({})
-ONE = RadicalScalar._raw({_RATIONAL: _ONE})
-I = RadicalScalar._raw({(1, 1): _ONE})
+ZERO = RadicalScalar._raw(_ZERO, _RATIONAL)
+ONE = RadicalScalar._raw(_ONE, _RATIONAL)
+I = RadicalScalar._raw(_ONE, (1, 1))

@@ -13,24 +13,21 @@ small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nonzero_fractions = small_fractions.filter(lambda q: q != 0)
 
 
-@st.composite
-def radical_scalars(draw) -> RadicalScalar:
-    out = RadicalScalar(0)
-    for _ in range(draw(st.integers(0, 3))):
-        q = draw(small_fractions)
-        r = draw(st.integers(1, 30))
-        per_term = sqrt_of_rational(r) * q
-        if draw(st.booleans()):
-            per_term = per_term * sqrt_of_rational(-1)
-        out = out + per_term
-    return out
-
-
 # i^m * sqrt(r) up to a rational factor: sqrt of a nonzero integer in [-30, 30]
 units = st.integers(-30, 30).filter(bool).map(sqrt_of_rational)
 
 # one unit for every draw from it within a single test case
 shared_unit = st.shared(units, key="unit")
+
+
+@st.composite
+def radical_scalars(draw, unit=units) -> RadicalScalar:
+    """One term q * i^m * sqrt(r), its unit drawn from ``unit``.
+
+    Scalars add only when they share a unit (or one is zero), so summands
+    are drawn with ``shared_unit``.
+    """
+    return draw(unit) * draw(small_fractions)
 
 
 @st.composite

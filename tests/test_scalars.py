@@ -10,10 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsealg import NotRationalError, RadicalScalar, sqrt_of_rational
+from morsealg import (
+    DiffOp,
+    LaurentPoly,
+    NotRationalError,
+    RadicalScalar,
+    WeightedFunction,
+    sqrt_of_rational,
+)
 from morsealg.scalars import _sqrt_unit, accumulate
 
-from _strategies import nonzero_fractions, radical_scalars, small_fractions
+from _numeric import to_complex
+from _strategies import nonzero_fractions, radical_scalars, shared_unit, small_fractions
 
 
 def test_sqrt_of_perfect_square_is_rational():
@@ -71,15 +79,18 @@ def test_as_rational():
 
 def test_mixed_int_and_fraction_operands():
     x = sqrt_of_rational(2)
-    assert 1 + x == x + 1
     assert 2 * x - x == x
-    assert (1 - x) + (x - 1) == RadicalScalar(0)
+    assert Fraction(1, 2) * x == x * Fraction(1, 2) == x / 2
+    y = RadicalScalar(Fraction(1, 3))
+    assert 1 + y == y + 1
+    assert (1 - y) + (y - 1) == RadicalScalar(0)
+    assert Fraction(2, 3) - y == y
 
 
 def test_division_by_single_term():
-    a = sqrt_of_rational(3) * Fraction(5, 7) + RadicalScalar(2)
     b = sqrt_of_rational(3) * Fraction(2, 3)
-    assert (a / b) * b == a
+    for a in (sqrt_of_rational(3) * Fraction(5, 7), RadicalScalar(2), sqrt_of_rational(-6)):
+        assert (a / b) * b == a
     i = sqrt_of_rational(-1)
     assert (i / i) == RadicalScalar(1)
 
@@ -89,13 +100,47 @@ def test_division_by_multi_term_sum_unsupported():
         RadicalScalar(1) / (RadicalScalar(1) + sqrt_of_rational(2))
 
 
+def test_sum_of_different_units_raises():
+    r2 = sqrt_of_rational(2)
+    for a, b in [(RadicalScalar(1), r2), (r2, sqrt_of_rational(3)), (r2, sqrt_of_rational(-2))]:
+        with pytest.raises(ArithmeticError):
+            a + b
+        with pytest.raises(ArithmeticError):
+            b - a
+    with pytest.raises(ArithmeticError):
+        1 + r2
+    with pytest.raises(ArithmeticError):
+        r2 - Fraction(1, 2)
+    # zero carries the rational unit and adds to any scalar
+    assert RadicalScalar(0) + r2 == r2 + 0 == r2
+    assert (r2 - r2).is_rational and r2 - r2 == 0 and hash(r2 - r2) == hash(0)
+
+
+@pytest.mark.parametrize("value", [0.1, "1/2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        RadicalScalar,
+        lambda x: LaurentPoly({0: x}),
+        lambda x: LaurentPoly.one().scaled(x),
+        lambda x: LaurentPoly.one() * x,
+        lambda x: DiffOp.identity().scaled(x),
+        lambda x: WeightedFunction(Fraction(0), LaurentPoly.one()) * x,
+    ],
+    ids=["scalar", "poly", "poly-scaled", "poly-mul", "op-scaled", "weighted-mul"],
+)
+def test_exact_types_refuse_floats_and_strings(call, value):
+    with pytest.raises(TypeError):
+        call(value)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         RadicalScalar(1) / RadicalScalar(0)
 
 
 def test_power():
-    x = sqrt_of_rational(2) + 1
+    x = sqrt_of_rational(-2) * Fraction(3, 2)
     assert x**0 == RadicalScalar(1)
     assert x**2 == x * x
     assert x**3 == x * x * x
@@ -104,29 +149,34 @@ def test_power():
 def test_str_format():
     assert str(RadicalScalar(0)) == "0"
     assert str(RadicalScalar(Fraction(-1, 2))) == "-1/2"
-    x = RadicalScalar(2) + sqrt_of_rational(3) + sqrt_of_rational(-1)
-    assert str(x) == "2+1*sqrt(3)+i*1"
+    assert str(sqrt_of_rational(12)) == "2*sqrt(3)"
+    assert str(sqrt_of_rational(-1)) == "i*1"
+    assert str(sqrt_of_rational(-7) * Fraction(-2, 5)) == "i*-2/5*sqrt(7)"
 
 
 def test_parse_round_trip_examples():
-    for text in ["0", "-1", "1/3*sqrt(3)", "2+1*sqrt(3)+i*1", "i*-2/5*sqrt(7)"]:
+    for text in ["0", "-1", "1/3*sqrt(3)", "i*1", "i*-2/5*sqrt(7)"]:
         assert str(RadicalScalar.parse(text)) == text
 
 
 def test_parse_rejects_garbage():
-    for bad in ["sqrt(x)", "1+", "2**3", "sqrt(2)*sqrt(3)", "1/0x2", ""]:
+    bad_texts = ["sqrt(x)", "1+", "2**3", "sqrt(2)*sqrt(3)", "1/0x2", ""]
+    # a zero denominator, and a sum: a scalar is one term
+    bad_texts += ["1/0", "i*1/0*sqrt(2)", "-1+1*sqrt(2)", "1+2"]
+    for bad in bad_texts:
         with pytest.raises(ValueError):
             RadicalScalar.parse(bad)
 
 
-def test_parse_tolerates_spaces_between_terms():
-    assert RadicalScalar.parse("1 + 2") == RadicalScalar(3)
+def test_parse_tolerates_surrounding_spaces():
+    assert RadicalScalar.parse("  3 ") == RadicalScalar(3)
+    assert RadicalScalar.parse(" i*1/2*sqrt(3)\n") == sqrt_of_rational(-3) / 2
 
 
 def test_parse_reduces_radicands_to_normal_form():
     assert RadicalScalar.parse("1*sqrt(8)") == 2 * sqrt_of_rational(2)
     assert RadicalScalar.parse("i*3*sqrt(12)") == 6 * sqrt_of_rational(-3)
-    assert RadicalScalar.parse("2*sqrt(0)+1") == 1
+    assert RadicalScalar.parse("2*sqrt(0)") == 0
     assert RadicalScalar.parse("1*sqrt(1000000)") == 1000
 
 
@@ -138,24 +188,18 @@ def test_parse_rejects_oversized_radicand_before_factoring():
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.booleans(), small_fractions, st.integers(0, 10**6)), min_size=1, max_size=4
-    )
-)
-def test_parse_matches_sqrt_of_rational(terms):
-    text = "+".join(f"{'i*' if imag else ''}{q}*sqrt({r})" for imag, q, r in terms)
-    expected = RadicalScalar(0)
-    for imag, q, r in terms:
-        expected = expected + q * sqrt_of_rational(r) * (sqrt_of_rational(-1) if imag else 1)
+@given(st.booleans(), small_fractions, st.integers(0, 10**6))
+def test_parse_matches_sqrt_of_rational(imag, q, r):
+    text = f"{'i*' if imag else ''}{q}*sqrt({r})"
+    expected = q * sqrt_of_rational(r) * (sqrt_of_rational(-1) if imag else 1)
     assert RadicalScalar.parse(text) == expected
 
 
 def test_to_complex():
-    x = sqrt_of_rational(2) + sqrt_of_rational(-9)
-    z = x.to_complex()
-    assert z.real == pytest.approx(math.sqrt(2))
-    assert z.imag == pytest.approx(3.0)
+    z = to_complex(sqrt_of_rational(2))
+    assert z.real == pytest.approx(math.sqrt(2)) and z.imag == 0.0
+    z = to_complex(sqrt_of_rational(-9))
+    assert z.real == 0.0 and z.imag == pytest.approx(3.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -186,15 +230,17 @@ def test_mul_associative(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(radical_scalars(), radical_scalars(), radical_scalars())
+@given(radical_scalars(), radical_scalars(unit=shared_unit), radical_scalars(unit=shared_unit))
 def test_distributive(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
 @settings(max_examples=60, deadline=None)
-@given(radical_scalars(), radical_scalars())
-def test_normal_form_invariants(a, b):
-    for x in (a, a + b, a - a, (a + b) - b, a * b):
+@given(radical_scalars(unit=shared_unit), radical_scalars(unit=shared_unit), radical_scalars())
+def test_normal_form_invariants(a, b, c):
+    for x in (a, a + b, a - a, (a + b) - b, a * b, a * c):
+        # zero carries the rational unit
+        assert x or x.is_rational
         for (r, m), q in x.terms.items():
             assert r >= 1
             assert m in (0, 1)
@@ -215,7 +261,7 @@ def test_str_parse_round_trip(a):
 @settings(max_examples=60, deadline=None)
 @given(radical_scalars(), radical_scalars())
 def test_to_complex_consistent_with_mul(a, b):
-    za, zb, zab = a.to_complex(), b.to_complex(), (a * b).to_complex()
+    za, zb, zab = to_complex(a), to_complex(b), to_complex(a * b)
     assert zab == pytest.approx(za * zb, rel=1e-9, abs=1e-9)
 
 

@@ -34,6 +34,7 @@ from morsealg import (
     summarize,
     write_report,
 )
+from morsealg.cli import run as cli_run
 from morsealg.scan import _row
 
 # the package's `scan` attribute is the function, so fetch the module itself
@@ -454,6 +455,22 @@ def test_read_report_rejects_a_duplicated_row_by_the_grid_check(tmp_path, fmt):
     path.write_text(json.dumps(doc) if fmt == "json" else _csv_text(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="grid"):
         read_report(path)
+
+
+# cell (0, 2) of the 0 x 2 grid with ev1 a sum of two terms: ev1 != ev2 =
+# ev3, so the three false flags agree with the values, and only the
+# eigenvalue grammar (one term q * i^m * sqrt(r)) rejects the row
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_read_report_rejects_an_eigenvalue_sum(tmp_path, capsys, fmt):
+    path = tmp_path / f"report.{fmt}"
+    write_report(scan(0, 2), "json", path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["cells"][2].update(ev1="-1+1*sqrt(2)", equal_12=False, equal_13=False, all_equal=False)
+    path.write_text(json.dumps(doc) if fmt == "json" else _csv_text(doc), encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_report(path)
+    code = cli_run(["plot", "--in", str(path), "--mode", "sign", "--out", str(tmp_path / "x.svg")])
+    assert code == 2 and capsys.readouterr().err.startswith("error: malformed scalar")
 
 
 @pytest.mark.parametrize("written_n", ["01", "+1", " 1"])
