@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import _RATIONAL, ZERO, RadicalScalar, Unit, _unit_mul, accumulate
+from .scalars import _RATIONAL, ZERO, RadicalScalar, Unit, _rational, _unit_mul, accumulate
 
 ScalarLike = RadicalScalar | Fraction | int
 
@@ -243,6 +243,11 @@ class WeightedFunction:
     s: Fraction
     poly: LaurentPoly
 
+    def __post_init__(self):
+        # TypeError unless s is an int or a Fraction; an int becomes a Fraction
+        if type(self.s) is not Fraction:
+            object.__setattr__(self, "s", _rational(self.s))
+
     @property
     def is_zero(self) -> bool:
         return self.poly.is_zero
@@ -256,6 +261,14 @@ class WeightedFunction:
         out = {e: -c * b for e, c in p._num.items()}
         accumulate(out, [(e - 1, 2 * c * t) for e, c in p._num.items() if (t := e * b + a)])
         return WeightedFunction(self.s, LaurentPoly._reduced(out, 2 * b * p._den, p._unit))
+
+    def jet(self, order: int) -> tuple[WeightedFunction, ...]:
+        """(f, f', ..., f^(order)), each derivative taken once; DiffOp.apply
+        accepts the jet in place of f, so operators can share it."""
+        out = [self]
+        for _ in range(order):
+            out.append(out[-1].derivative())
+        return tuple(out)
 
     def __add__(self, other: WeightedFunction) -> WeightedFunction:
         if not isinstance(other, WeightedFunction):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .functions import LaurentPoly, WeightedFunction
-from .scalars import RadicalScalar, sqrt_of_rational
+from .scalars import _RATIONAL, RadicalScalar, _rational, sqrt_of_rational
 
 
 class NonBoundError(ValueError):
@@ -80,7 +80,7 @@ def laguerre(n: int, alpha: Fraction | int) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    alpha = Fraction(alpha)
+    alpha = _rational(alpha)
     p, q = alpha.numerator, alpha.denominator
     num: dict[int, int] = {}
     prod = 1  # prod_{j=k+1..n} (p + q*j), built from k=n downward
@@ -90,7 +90,7 @@ def laguerre(n: int, alpha: Fraction | int) -> LaurentPoly:
         c = math.comb(n, k) * q**k * prod
         num[k] = -c if k % 2 else c
         prod *= p + q * k
-    return LaurentPoly(num).scaled(Fraction(1, math.factorial(n) * q**n))
+    return LaurentPoly._reduced(num, math.factorial(n) * q**n, _RATIONAL)
 
 
 def normalization(n: int, v: int) -> RadicalScalar | None:

@@ -14,10 +14,20 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .functions import LaurentPoly, ScalarLike, WeightedFunction
-from .scalars import _RATIONAL, RadicalScalar, Unit, _sqrt_unit, accumulate, sqrt_of_rational
+from .scalars import (
+    _RATIONAL,
+    RadicalScalar,
+    Unit,
+    _rational,
+    _sqrt_unit,
+    _unit_mul,
+    accumulate,
+    sqrt_of_rational,
+)
 
 
 class UndefinedOperatorError(ZeroDivisionError):
@@ -114,19 +124,45 @@ class DiffOp:
             return _ZERO_OP
         return DiffOp._raw({k: p.scaled(c) for k, p in self._terms.items()})
 
-    def apply(self, f: WeightedFunction) -> WeightedFunction:
-        """Exact action on a weighted function; the weight exponent s survives."""
-        if not self._terms or f.is_zero:
-            return WeightedFunction(f.s, LaurentPoly.zero())
-        out = LaurentPoly.zero()
-        df = f
-        for k in range(self.max_order + 1):
-            p = self._terms.get(k)
-            if p is not None:
-                out = out + p * df.poly
-            if k < self.max_order:
-                df = df.derivative()
-        return WeightedFunction(f.s, out)
+    def apply(self, f: WeightedFunction | Sequence[WeightedFunction]) -> WeightedFunction:
+        """Exact action on a weighted function; the weight exponent s survives.
+
+        f is the function, or its jet (f, f', f'', ...) from
+        WeightedFunction.jet, whose derivatives are used instead of taken
+        again; a jet shorter than the operator's order is extended.  Every
+        term a_k * f^(k) is added as integer numerators over one common
+        denominator and reduced once.  For f != 0 no term is zero, and terms
+        with different radical units raise ArithmeticError.
+        """
+        jet = [f] if isinstance(f, WeightedFunction) else list(f)
+        s = jet[0].s
+        if not self._terms or jet[0].is_zero:
+            return WeightedFunction(s, LaurentPoly.zero())
+        while len(jet) <= self.max_order:
+            jet.append(jet[-1].derivative())
+        terms = []
+        unit = None
+        for k, a in self._terms.items():
+            g = jet[k].poly
+            m, u = _unit_mul(a._unit, g._unit)
+            if unit is None:
+                unit = u
+            elif u != unit:
+                raise ArithmeticError("cannot add polynomials with different radical units")
+            terms.append((a, g, m, a._den * g._den))
+        den = math.lcm(*(d for *_, d in terms))
+        out: dict[int, int] = {}
+        get = out.get
+        for a, g, m, d in terms:
+            m *= den // d
+            gn = g._num.items()
+            for e1, c1 in a._num.items():
+                c1 *= m
+                for e2, c2 in gn:
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
+        out = {e: c for e, c in out.items() if c}
+        return WeightedFunction(s, LaurentPoly._reduced(out, den, unit))
 
     def compose(self, other: DiffOp) -> DiffOp:
         """Exact composition self after other, by the Leibniz expansion."""
@@ -174,10 +210,9 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
 
 
 def _ratio(x: Fraction | int) -> tuple[int, int]:
-    """x as (numerator, denominator), the denominator positive."""
-    if isinstance(x, int):
-        return x, 1
-    x = Fraction(x)
+    """x as (numerator, denominator), the denominator positive; TypeError
+    unless x is an int or a Fraction."""
+    x = _rational(x)
     return x.numerator, x.denominator
 
 
@@ -222,7 +257,7 @@ def k_minus(s: Fraction, v: Fraction | int) -> DiffOp:
 
     -sqrt((s+1)/s) * [(2s+1) d/dy - s(2s+1)/y + v/2]; undefined at s = 0.
     """
-    s = Fraction(s)
+    s = _rational(s)
     if s == 0:
         raise UndefinedOperatorError("lowering operator undefined at s = 0")
     return _ladder(-1, s, v)
@@ -233,7 +268,7 @@ def k_plus(s: Fraction, v: Fraction | int) -> DiffOp:
 
     sqrt((s-1)/s) * [(2s-1) d/dy + s(2s-1)/y - v/2]; undefined at s = 0.
     """
-    s = Fraction(s)
+    s = _rational(s)
     if s == 0:
         raise UndefinedOperatorError("raising operator undefined at s = 0")
     return _ladder(1, s, v)
@@ -241,7 +276,7 @@ def k_plus(s: Fraction, v: Fraction | int) -> DiffOp:
 
 def schrodinger_diff(s: Fraction, v: Fraction | int) -> DiffOp:
     """The operator y d2/dy2 + d/dy - s^2/y - y/4 + v/2, which kills the state."""
-    s = Fraction(s)
+    s = _rational(s)
     a, b = s.numerator, s.denominator
     c, e = _ratio(v)
     # over 4b^2e, with s = a/b and v = c/e
@@ -266,7 +301,7 @@ def k0_prime_simplified(s: Fraction, v: Fraction | int) -> DiffOp:
 
     The zero operator exactly at s = 0.
     """
-    s = Fraction(s)
+    s = _rational(s)
     if s == 0:
         return DiffOp.zero()
     a, b = s.numerator, s.denominator
@@ -288,7 +323,7 @@ def k0_prime_composed(s: Fraction, v: Fraction | int) -> DiffOp:
     Undefined at s in {-1, 0, 1} where a constituent prefactor divides by
     zero.
     """
-    s = Fraction(s)
+    s = _rational(s)
     if s in (-1, 0, 1):
         raise UndefinedOperatorError(f"composed form undefined at s = {s}")
     lowering_then_raise = k_plus(s + 1, v).compose(k_minus(s, v))
@@ -302,7 +337,7 @@ def naive_commutator(s: Fraction, v: Fraction | int) -> DiffOp:
     Collapses to a pure 1/y^2 multiplication operator; see
     naive_commutator_coefficient for its exact coefficient.
     """
-    s = Fraction(s)
+    s = _rational(s)
     if s == 0:
         raise UndefinedOperatorError("ladder operators undefined at s = 0")
     return commutator(k_plus(s, v), k_minus(s, v))
@@ -316,7 +351,7 @@ def naive_commutator_coefficient(s: Fraction) -> RadicalScalar:
     agrees with the closed form 2*sqrt(s^2-1)*(1-4s^2); for s < -1 complex
     square-root semantics flip the product's sign relative to that form.
     """
-    s = Fraction(s)
+    s = _rational(s)
     if s == 0:
         raise UndefinedOperatorError("ladder operators undefined at s = 0")
     pref = sqrt_of_rational(Fraction(s - 1, s)) * sqrt_of_rational(Fraction(s + 1, s))

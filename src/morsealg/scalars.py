@@ -237,25 +237,36 @@ class RadicalScalar:
         return cls._raw(q, (r, 1 if imag else 0))
 
 
-def _coerce(value) -> RadicalScalar:
-    """value as a scalar; NotImplemented unless an int, a Fraction or a RadicalScalar.
+def _rational(value) -> Fraction:
+    """value as a Fraction; TypeError unless an int or a Fraction.
 
-    The one conversion into the exact types: a float or a string is refused,
-    not rounded to a nearby rational.
+    The one check on a rational entering the exact types: a float or a
+    string is refused, not rounded to a nearby rational.
     """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"not an int or a Fraction: {value!r}")
+
+
+def _coerce(value) -> RadicalScalar:
+    """value as a scalar; NotImplemented unless an int, a Fraction or a RadicalScalar."""
     if isinstance(value, RadicalScalar):
         return value
-    if isinstance(value, (int, Fraction)):
-        return RadicalScalar._raw(Fraction(value), _RATIONAL)
-    return NotImplemented
+    try:
+        return RadicalScalar._raw(_rational(value), _RATIONAL)
+    except TypeError:
+        return NotImplemented
 
 
 def sqrt_of_rational(x: Fraction | int) -> RadicalScalar:
     """Exact square root of a rational as q*i^m*sqrt(r) in normal form.
 
-    m = 1 iff x < 0; the result squares back to x exactly.
+    m = 1 iff x < 0; the result squares back to x exactly.  TypeError unless
+    x is an int or a Fraction.
     """
-    x = Fraction(x)
+    x = _rational(x)
     if not x:
         return ZERO
     # sqrt(p/q) = sqrt(p*q)/q

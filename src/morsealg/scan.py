@@ -36,7 +36,7 @@ from .operators import (
     schrodinger_diff,
 )
 from .scalars import RadicalScalar
-from .spectral import EigenResult, EigenStatus, eigenvalue_one, eigenvalue_three, eigenvalue_two
+from .spectral import EigenResult, EigenStatus, cell_eigenvalues, eigenvalue_three
 
 
 class SignClass(enum.Enum):
@@ -118,7 +118,7 @@ def _record(n: int, v: int, ev1: EigenResult, ev2: EigenResult) -> CellRecord:
 
 def compute_cell(n: int, v: int) -> CellRecord:
     """Classify cell (n, v) and compare its three eigenvalue computations."""
-    return _record(n, v, eigenvalue_one(n, v), eigenvalue_two(n, v))
+    return _record(n, v, *cell_eigenvalues(n, v))
 
 
 def summarize(cells: tuple[CellRecord, ...]) -> Summary:

@@ -9,11 +9,13 @@ the eigenrelation for that cell.
 from __future__ import annotations
 
 import enum
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .functions import Comparison, WeightedFunction
-from .model import make_state
+from .model import MorseState, make_state
 from .operators import (
     DiffOp,
     UndefinedOperatorError,
@@ -23,7 +25,7 @@ from .operators import (
     k_minus,
     k_plus,
 )
-from .scalars import ZERO, RadicalScalar, sqrt_of_rational
+from .scalars import _ONE, ZERO, RadicalScalar, sqrt_of_rational
 
 
 class ZeroStateError(ValueError):
@@ -64,9 +66,11 @@ _PROPER_ZERO = EigenResult(ZERO, EigenStatus.PROPER)
 def extract_eigenvalue(result: WeightedFunction, state: WeightedFunction) -> EigenResult:
     """Exact lambda with result = lambda * state, or why there is none.
 
-    The candidate comes from the state's lowest-exponent coefficient and is
-    verified on the whole polynomial by cross-multiplication, so no radical
-    division is needed for the decision itself.
+    Decided on the integer numerators: after any integer weight gap is
+    shifted into the result, the two polynomials must have the same
+    exponents, and every numerator pair must cross-multiply equal to the
+    pair at the state's lowest exponent.  The denominators and radical units
+    are common factors, so only a Proper result pays for one scalar division.
     """
     if state.is_zero:
         raise ZeroStateError("cannot extract an eigenvalue against the zero function")
@@ -77,23 +81,44 @@ def extract_eigenvalue(result: WeightedFunction, state: WeightedFunction) -> Eig
         return _NOT_EIGEN
     rpoly = result.poly.shifted(int(gap))
     spoly = state.poly
-    base = spoly.min_exponent
-    num = rpoly.coeff(base)
-    den = spoly.coeff(base)
-    if not num:
+    rnum, snum = rpoly._num, spoly._num
+    if rnum.keys() != snum.keys():
         return _NOT_EIGEN
-    if rpoly.scaled(den) != spoly.scaled(num):
-        return _NOT_EIGEN
-    return EigenResult(num / den, EigenStatus.PROPER)
+    base = min(snum)
+    rb, sb = rnum[base], snum[base]
+    # the base pair in lowest terms keeps one factor of each product small
+    g = math.gcd(rb, sb)
+    rb, sb = rb // g, sb // g
+    for e, c in snum.items():
+        if rnum[e] * sb != c * rb:
+            return _NOT_EIGEN
+    # lambda = (rb / rden * runit) / (sb / sden * sunit); a common unit cancels
+    q = Fraction(rb * spoly._den, sb * rpoly._den)
+    if rpoly._unit == spoly._unit:
+        return EigenResult(RadicalScalar(q), EigenStatus.PROPER)
+    lam = RadicalScalar._raw(q, rpoly._unit) / RadicalScalar._raw(_ONE, spoly._unit)
+    return EigenResult(lam, EigenStatus.PROPER)
 
 
-def _action(op: DiffOp, state: WeightedFunction) -> EigenResult:
-    """op's eigenvalue on state: TrivialZero for the zero operator, Proper(0)
-    where a nonzero op annihilates the state, else extract_eigenvalue's."""
+def _action(op: DiffOp, jet: Sequence[WeightedFunction]) -> EigenResult:
+    """op's eigenvalue on the state jet[0], applied through the jet: TrivialZero
+    for the zero operator, Proper(0) where a nonzero op annihilates the
+    state, else extract_eigenvalue's."""
     if op.is_zero:
         return _TRIVIAL
-    r = extract_eigenvalue(op.apply(state), state)
+    r = extract_eigenvalue(op.apply(jet), jet[0])
     return _PROPER_ZERO if r.status is EigenStatus.TRIVIAL_ZERO else r
+
+
+def _eigenvalue_one(state: MorseState, jet: Sequence[WeightedFunction]) -> EigenResult:
+    return _action(k0_prime_simplified(state.qn.s, state.qn.v), jet)
+
+
+def _eigenvalue_two(state: MorseState, jet: Sequence[WeightedFunction]) -> EigenResult:
+    r = _action(k0_diff(state.qn.s, state.qn.n), jet)
+    if r.status is EigenStatus.PROPER:
+        return EigenResult(r.value * 2, EigenStatus.PROPER)
+    return r
 
 
 def eigenvalue_one(n: int, v: int) -> EigenResult:
@@ -103,7 +128,7 @@ def eigenvalue_one(n: int, v: int) -> EigenResult:
     identically; elsewhere Proper(2n - v + 1).
     """
     state = make_state(n, v)
-    return _action(k0_prime_simplified(state.qn.s, v), state.wavefunction)
+    return _eigenvalue_one(state, (state.wavefunction,))
 
 
 def eigenvalue_two(n: int, v: int) -> EigenResult:
@@ -113,10 +138,18 @@ def eigenvalue_two(n: int, v: int) -> EigenResult:
     eigenvalue is 0, the result is Proper(0), not TrivialZero.
     """
     state = make_state(n, v)
-    r = _action(k0_diff(state.qn.s, n), state.wavefunction)
-    if r.status is EigenStatus.PROPER:
-        return EigenResult(r.value * 2, EigenStatus.PROPER)
-    return r
+    return _eigenvalue_two(state, (state.wavefunction,))
+
+
+def cell_eigenvalues(n: int, v: int) -> tuple[EigenResult, EigenResult]:
+    """eigenvalue_one and eigenvalue_two of the (n, v) state, sharing one jet.
+
+    The state's first and second derivatives are taken once; the two
+    operators are still built and applied separately.
+    """
+    state = make_state(n, v)
+    jet = state.wavefunction.jet(2)
+    return _eigenvalue_one(state, jet), _eigenvalue_two(state, jet)
 
 
 def eigenvalue_three(n: int, v: int) -> Fraction:
@@ -137,7 +170,7 @@ def eigenvalue_composed(n: int, v: int) -> EigenResult:
         op = k0_prime_composed(state.qn.s, v)
     except UndefinedOperatorError:
         return _UNDEFINED
-    return _action(op, state.wavefunction)
+    return _action(op, (state.wavefunction,))
 
 
 def _ladder_relation(sigma: int, n: int, v: int) -> LadderOutcome:

@@ -29,7 +29,7 @@ def poly_value(p: LaurentPoly, y: complex) -> complex:
     """p(y): the rational parts summed in exponent order, then times the unit."""
     total = 0j
     unit = 1
-    for e, c in p.items():
+    for e, c in sorted(p.items()):
         (((r, m), q),) = c.terms.items()
         total = total + float(q) * y**e
         unit = math.sqrt(r) * (1j if m else 1)

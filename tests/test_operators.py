@@ -30,6 +30,7 @@ from morsealg import (
 )
 from morsealg import operators as operators_module
 
+from _reference import apply_reference
 from _strategies import diff_ops, laurent_polys, shared_unit, weighted_functions
 
 
@@ -418,3 +419,64 @@ def test_no_zero_coefficient_is_stored(p, q, a, b, data):
     results += [f.derivative(), (f - f).derivative(), a.apply(f)]
     for x in results:
         _assert_no_zero_coefficient(x)
+
+
+# a few units, so that independently drawn coefficients sometimes share one
+_few_units = st.sampled_from([1, 2, -2]).map(sqrt_of_rational)
+
+
+@st.composite
+def _mixed_unit_ops(draw, max_order: int = 3) -> DiffOp:
+    """Each order's coefficient with its own unit: applications may not sum."""
+    terms = {}
+    for order in range(max_order + 1):
+        if draw(st.booleans()):
+            terms[order] = draw(laurent_polys(min_exp=-2, max_exp=2, max_terms=2, unit=_few_units))
+    return DiffOp(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(diff_ops(max_order=3), weighted_functions(), st.integers(0, 4))
+def test_apply_matches_reference(op, f, jet_order):
+    expected = apply_reference(op, f)
+    assert op.apply(f) == expected
+    # a jet of any length gives the same result, shorter ones extended
+    assert op.apply(f.jet(jet_order)) == expected
+
+
+def _unit(p: LaurentPoly) -> tuple[int, int]:
+    """The radical unit every coefficient of p carries; p != 0."""
+    _, c = p.items()[0]
+    (unit,) = c.terms
+    return unit
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_unit_ops(), weighted_functions(unit=_few_units))
+def test_apply_with_mixed_units_matches_reference(op, f):
+    # the units of the terms a_k * f^(k); more than one cannot be summed
+    jet = f.jet(op.max_order)
+    units = set() if f.is_zero else {_unit(p * jet[k].poly) for k, p in op.terms.items()}
+    if len(units) > 1:
+        with pytest.raises(ArithmeticError):
+            op.apply(f)
+    else:
+        assert op.apply(f) == apply_reference(op, f)
+
+
+def test_apply_raises_on_terms_with_different_units():
+    f = WeightedFunction(Fraction(1, 2), LaurentPoly.one())
+    op = DiffOp({0: LaurentPoly.one(), 1: LaurentPoly.constant(sqrt_of_rational(2))})
+    with pytest.raises(ArithmeticError):
+        op.apply(f)
+    with pytest.raises(ArithmeticError):
+        op.apply(f.jet(1))
+    # the zero function has no terms to add
+    assert op.apply(WeightedFunction(Fraction(1, 2), LaurentPoly.zero())).is_zero
+
+
+def test_jet_takes_each_derivative_once():
+    f = make_state(3, 10).wavefunction
+    jet = f.jet(2)
+    assert jet == (f, f.derivative(), f.derivative().derivative())
+    assert f.jet(0) == (f,)

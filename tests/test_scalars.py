@@ -16,6 +16,15 @@ from morsealg import (
     NotRationalError,
     RadicalScalar,
     WeightedFunction,
+    k0_diff,
+    k0_prime_composed,
+    k0_prime_simplified,
+    k_minus,
+    k_plus,
+    laguerre,
+    naive_commutator,
+    naive_commutator_coefficient,
+    schrodinger_diff,
     sqrt_of_rational,
 )
 from morsealg.scalars import _sqrt_unit, accumulate
@@ -126,8 +135,29 @@ def test_sum_of_different_units_raises():
         lambda x: LaurentPoly.one() * x,
         lambda x: DiffOp.identity().scaled(x),
         lambda x: WeightedFunction(Fraction(0), LaurentPoly.one()) * x,
+        lambda x: WeightedFunction(x, LaurentPoly.one()),
+        sqrt_of_rational,
+        lambda x: laguerre(2, x),
+        lambda x: k_plus(x, 2),
+        lambda x: k_minus(x, 2),
+        lambda x: k_plus(Fraction(3, 2), x),
+        lambda x: schrodinger_diff(x, 2),
+        lambda x: schrodinger_diff(2, x),
+        lambda x: k0_diff(x, 2),
+        lambda x: k0_diff(2, x),
+        lambda x: k0_prime_simplified(x, 2),
+        lambda x: k0_prime_simplified(2, x),
+        lambda x: k0_prime_composed(x, 2),
+        lambda x: naive_commutator(x, 2),
+        naive_commutator_coefficient,
     ],
-    ids=["scalar", "poly", "poly-scaled", "poly-mul", "op-scaled", "weighted-mul"],
+    ids=[
+        "scalar", "poly", "poly-scaled", "poly-mul", "op-scaled", "weighted-mul",
+        "weighted-s", "sqrt", "laguerre", "k_plus", "k_minus", "k_plus-v",
+        "schrodinger", "schrodinger-v", "k0_diff", "k0_diff-n", "k0_prime_simplified",
+        "k0_prime_simplified-v", "k0_prime_composed", "naive_commutator",
+        "naive_coefficient",
+    ],
 )
 def test_exact_types_refuse_floats_and_strings(call, value):
     with pytest.raises(TypeError):

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib
 import json
 import lzma
 import random
+import sys
 import tempfile
 import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +28,7 @@ from morsealg import (
     RadicalScalar,
     ScanReport,
     SignClass,
+    WeightedFunction,
     compute_cell,
     make_state,
     read_report,
@@ -36,6 +40,8 @@ from morsealg import (
 )
 from morsealg.cli import run as cli_run
 from morsealg.scan import _row
+
+from _reference import cell_eigenvalues_reference
 
 # the package's `scan` attribute is the function, so fetch the module itself
 scan_module = importlib.import_module("morsealg.scan")
@@ -106,6 +112,36 @@ def test_cells_beyond_the_grid():
         state = make_state(n, v)
         assert state.wavefunction.poly.max_exponent == n, (n, v)
         assert schrodinger_diff(cell.s, v).apply(state.wavefunction).is_zero, (n, v)
+
+
+@pytest.mark.parametrize("n,v", [(150, 300), (300, 300), (300, 650)])
+def test_cell_matches_the_reference_path_beyond_the_grid(n, v):
+    # the reference applies each operator to the bare state with the earlier
+    # apply and extract bodies; compute_cell shares one jet between them
+    cell = compute_cell(n, v)
+    assert (cell.ev1, cell.ev2) == cell_eigenvalues_reference(n, v)
+    assert cell.all_equal
+
+
+@pytest.mark.parametrize("n,v", [(1, 0), (2, 9), (5, 30), (30, 30), (3, 7), (0, 4)])
+def test_cell_builds_one_state_and_differentiates_it_twice(n, v):
+    # one make_state call and the two derivatives f', f'' per cell, counted
+    # through every morsealg namespace that binds make_state; (3, 7) has
+    # s = 0, where the shifted commutator is the zero operator
+    counted = mock.Mock(wraps=make_state)
+    derivative = WeightedFunction.derivative
+    make_state.cache_clear()
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "morsealg" and vars(module).get("make_state") is make_state:
+                stack.enter_context(mock.patch.object(module, "make_state", counted))
+        d = stack.enter_context(
+            mock.patch.object(WeightedFunction, "derivative", autospec=True, side_effect=derivative)
+        )
+        cell = compute_cell(n, v)
+    assert cell.all_equal
+    assert counted.call_count == 1
+    assert d.call_count == 2
 
 
 def test_csv_rows_are_pinned(tmp_path):

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from morsealg import (
     Comparison,
@@ -30,6 +32,9 @@ from morsealg import (
     verify_lowering,
     verify_raising,
 )
+
+from _reference import extract_reference
+from _strategies import nonzero_fractions, units, weighted_functions
 
 
 def _psi(n: int, v: int) -> WeightedFunction:
@@ -225,3 +230,61 @@ def test_ladder_checks_match_reference_and_normalize_once_per_state(monkeypatch)
             assert verify_lowering(n, v) is _lowering_reference(n, v), (n, v)
             assert verify_raising(n, v) is _raising_reference(n, v), (n, v)
     assert calls == make_state.cache_info().misses
+
+
+_states = weighted_functions().filter(lambda f: not f.is_zero)
+_ratios = st.builds(lambda u, q: u * q, units, nonzero_fractions)
+
+
+def _assert_extract(result: WeightedFunction, state: WeightedFunction, status: EigenStatus):
+    got = extract_eigenvalue(result, state)
+    assert got == extract_reference(result, state)
+    assert got.status is status
+
+
+@settings(max_examples=100, deadline=None)
+@given(_states, _ratios, st.integers(-3, 3))
+def test_extract_proportional_pairs_match_reference(state, lam, gap):
+    # lam * state, written at a weight `gap` above the state's
+    result = WeightedFunction(state.s + gap, state.poly.scaled(lam).shifted(-gap))
+    _assert_extract(result, state, EigenStatus.PROPER)
+    assert extract_eigenvalue(result, state).value == lam
+
+
+@settings(max_examples=100, deadline=None)
+@given(_states, _ratios, nonzero_fractions.filter(lambda q: q != -1), st.data())
+def test_extract_same_support_not_proportional_matches_reference(state, lam, q, data):
+    assume(len(state.poly.items()) >= 2)
+    # lam * state with one coefficient scaled by 1 + q, so its support is kept
+    e = data.draw(st.sampled_from([e for e, _ in state.poly.items()]))
+    poly = state.poly.scaled(lam) + LaurentPoly.monomial(e, state.poly.coeff(e) * lam * q)
+    _assert_extract(WeightedFunction(state.s, poly), state, EigenStatus.NOT_EIGENFUNCTION)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_states, _ratios, st.integers(-6, 6), st.booleans())
+def test_extract_different_supports_match_reference(state, lam, e, drop):
+    poly = state.poly.scaled(lam)
+    exps = [x for x, _ in state.poly.items()]
+    if drop and len(exps) >= 2:
+        # one coefficient removed
+        poly = poly - LaurentPoly.monomial(exps[0], poly.coeff(exps[0]))
+    else:
+        # one exponent added, with the unit the others carry
+        assume(e not in exps)
+        poly = poly + LaurentPoly.monomial(e, poly.coeff(exps[0]))
+    _assert_extract(WeightedFunction(state.s, poly), state, EigenStatus.NOT_EIGENFUNCTION)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_states, _ratios, st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3)]))
+def test_extract_non_integer_gap_matches_reference(state, lam, gap):
+    result = WeightedFunction(state.s + gap, state.poly.scaled(lam))
+    _assert_extract(result, state, EigenStatus.NOT_EIGENFUNCTION)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_states, st.integers(-3, 3))
+def test_extract_zero_result_matches_reference(state, gap):
+    result = WeightedFunction(state.s + gap, LaurentPoly.zero())
+    _assert_extract(result, state, EigenStatus.TRIVIAL_ZERO)
