@@ -11,12 +11,11 @@ from .model import (
     MorseState,
     NonBoundError,
     PhysicalParams,
-    QuantumNumbers,
     laguerre,
-    make_quantum_numbers,
     make_state,
     normalization,
     physical_map,
+    weight_exponent,
 )
 from .operators import (
     DiffOp,
@@ -57,10 +56,9 @@ from .spectral import (
     EigenStatus,
     LadderOutcome,
     ZeroStateError,
+    cell_eigenvalues,
     eigenvalue_composed,
-    eigenvalue_one,
     eigenvalue_three,
-    eigenvalue_two,
     extract_eigenvalue,
     verify_lowering,
     verify_raising,
@@ -83,7 +81,6 @@ __all__ = [
     "NotRationalError",
     "OpClass",
     "PhysicalParams",
-    "QuantumNumbers",
     "RadicalScalar",
     "ScanReport",
     "SignClass",
@@ -91,12 +88,11 @@ __all__ = [
     "UndefinedOperatorError",
     "WeightedFunction",
     "ZeroStateError",
+    "cell_eigenvalues",
     "commutator",
     "compute_cell",
     "eigenvalue_composed",
-    "eigenvalue_one",
     "eigenvalue_three",
-    "eigenvalue_two",
     "extract_eigenvalue",
     "k0_diff",
     "k0_prime_composed",
@@ -104,7 +100,6 @@ __all__ = [
     "k_minus",
     "k_plus",
     "laguerre",
-    "make_quantum_numbers",
     "make_state",
     "naive_commutator",
     "naive_commutator_coefficient",
@@ -119,5 +114,6 @@ __all__ = [
     "summarize",
     "verify_lowering",
     "verify_raising",
+    "weight_exponent",
     "write_report",
 ]

@@ -143,7 +143,7 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     if not args.verbose:
         return 0
     state = make_state(n, v)
-    s, norm = state.qn.s, state.normalization
+    s, norm = state.wavefunction.s, state.normalization
     print(f"state: {state.wavefunction}")
     print(f"normalization: {norm if norm is not None else 'undefined'}")
     print(f"shifted commutator (closed form): {k0_prime_simplified(s, v)}")

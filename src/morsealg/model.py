@@ -1,4 +1,4 @@
-"""Morse-oscillator model data: quantum numbers, Laguerre polynomials, states.
+"""Morse-oscillator model data: the weight exponent, Laguerre polynomials, states.
 
 The bound states live on an integer grid (n, v) with derived weight exponent
 s = (v - 2n - 1)/2.  States are kept unnormalized by default; the
@@ -22,23 +22,6 @@ class NonBoundError(ValueError):
 
 
 @dataclass(frozen=True)
-class QuantumNumbers:
-    """Level index n, depth parameter v, and the derived exponent s.
-
-    2s = v - 2n - 1 always; s >= 0 exactly on the physical half-plane
-    v >= 2n + 1 where the state is normalizable.
-    """
-
-    n: int
-    v: int
-    s: Fraction
-
-    @property
-    def is_physical(self) -> bool:
-        return self.s >= 0
-
-
-@dataclass(frozen=True)
 class PhysicalParams:
     """Well depth, inverse width, particle mass and hbar, in consistent units."""
 
@@ -50,23 +33,27 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class MorseState:
-    """A grid state: quantum numbers, unnormalized wavefunction, normalization.
+    """A grid state: unnormalized wavefunction and normalization.
 
     The wavefunction is exp(-y/2) * y^s * L_n^{2s}(y) without the
-    normalization factor; ``normalization`` is None on cells where the
-    defining square root is zero or imaginary (non-normalizable cells).
+    normalization factor, and carries s = weight_exponent(n, v) as its
+    weight; ``normalization`` is None on cells where the defining square
+    root is zero or imaginary (non-normalizable cells).
     """
 
-    qn: QuantumNumbers
     wavefunction: WeightedFunction
     normalization: RadicalScalar | None
 
 
-def make_quantum_numbers(n: int, v: int) -> QuantumNumbers:
-    """Quantum numbers for grid cell (n, v); negative s is permitted."""
+def weight_exponent(n: int, v: int) -> Fraction:
+    """s = (v - 2n - 1)/2 for grid cell (n, v); negative s is permitted.
+
+    s >= 0 exactly on the physical half-plane v >= 2n + 1, where the state
+    is normalizable.
+    """
     if n < 0 or v < 0:
         raise ValueError("n and v must be non-negative")
-    return QuantumNumbers(n, v, Fraction(v - 2 * n - 1, 2))
+    return Fraction(v - 2 * n - 1, 2)
 
 
 def laguerre(n: int, alpha: Fraction | int) -> LaurentPoly:
@@ -112,9 +99,8 @@ def normalization(n: int, v: int) -> RadicalScalar | None:
 @lru_cache(maxsize=None)
 def make_state(n: int, v: int) -> MorseState:
     """The grid state at (n, v), with normalization attached when defined."""
-    qn = make_quantum_numbers(n, v)
-    wf = WeightedFunction(qn.s, laguerre(n, 2 * qn.s))
-    return MorseState(qn, wf, normalization(n, v))
+    s = weight_exponent(n, v)
+    return MorseState(WeightedFunction(s, laguerre(n, 2 * s)), normalization(n, v))
 
 
 def physical_map(params: PhysicalParams, n: int = 0) -> tuple[float, float, float]:

@@ -22,10 +22,9 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import partial
 
 from .functions import LaurentPoly
-from .model import make_quantum_numbers, make_state
+from .model import make_state, weight_exponent
 from .operators import (
     DiffOp,
     OpClass,
@@ -96,7 +95,7 @@ class ScanReport:
 
 def _record(n: int, v: int, ev1: EigenResult, ev2: EigenResult) -> CellRecord:
     """The cell (n, v) with every other field derived from its two computed eigenvalues."""
-    s = make_quantum_numbers(n, v).s
+    s = weight_exponent(n, v)
     ev3 = eigenvalue_three(n, v)
     equal_12 = ev1.value == ev2.value
     equal_13 = ev1.value == ev3
@@ -148,10 +147,6 @@ def summarize(cells: tuple[CellRecord, ...]) -> Summary:
     )
 
 
-def _row_cells(n: int, v_max: int) -> list[CellRecord]:
-    return [compute_cell(n, v) for v in range(v_max + 1)]
-
-
 def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
     """Compute every cell of the [0, n_max] x [0, v_max] grid.
 
@@ -161,16 +156,15 @@ def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
     """
     if n_max < 0 or v_max < 0:
         raise ValueError("n_max and v_max must be non-negative")
-    cells: list[CellRecord] = []
     workers = min(workers or 1, n_max + 1, os.cpu_count() or 1)
+    # row-major cells; a pool task is one row of constant n
+    ns = [n for n in range(n_max + 1) for _ in range(v_max + 1)]
+    vs = list(range(v_max + 1)) * (n_max + 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for row in pool.map(partial(_row_cells, v_max=v_max), range(n_max + 1)):
-                cells.extend(row)
+            cells_t = tuple(pool.map(compute_cell, ns, vs, chunksize=v_max + 1))
     else:
-        for n in range(n_max + 1):
-            cells.extend(_row_cells(n, v_max))
-    cells_t = tuple(cells)
+        cells_t = tuple(map(compute_cell, ns, vs))
     return ScanReport(n_max, v_max, cells_t, summarize(cells_t))
 
 

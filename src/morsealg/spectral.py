@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .functions import Comparison, WeightedFunction
-from .model import MorseState, make_state
+from .model import make_state
 from .operators import (
     DiffOp,
     UndefinedOperatorError,
@@ -110,46 +110,24 @@ def _action(op: DiffOp, jet: Sequence[WeightedFunction]) -> EigenResult:
     return _PROPER_ZERO if r.status is EigenStatus.TRIVIAL_ZERO else r
 
 
-def _eigenvalue_one(state: MorseState, jet: Sequence[WeightedFunction]) -> EigenResult:
-    return _action(k0_prime_simplified(state.qn.s, state.qn.v), jet)
-
-
-def _eigenvalue_two(state: MorseState, jet: Sequence[WeightedFunction]) -> EigenResult:
-    r = _action(k0_diff(state.qn.s, state.qn.n), jet)
-    if r.status is EigenStatus.PROPER:
-        return EigenResult(r.value * 2, EigenStatus.PROPER)
-    return r
-
-
-def eigenvalue_one(n: int, v: int) -> EigenResult:
-    """Action of the closed-form shifted commutator on the (n, v) state.
-
-    TrivialZero exactly on the s = 0 cells, where that operator vanishes
-    identically; elsewhere Proper(2n - v + 1).
-    """
-    state = make_state(n, v)
-    return _eigenvalue_one(state, (state.wavefunction,))
-
-
-def eigenvalue_two(n: int, v: int) -> EigenResult:
-    """Doubled action of the diagonal operator, reported on the same scale.
-
-    The diagonal operator is never the zero operator, so at s = 0, where its
-    eigenvalue is 0, the result is Proper(0), not TrivialZero.
-    """
-    state = make_state(n, v)
-    return _eigenvalue_two(state, (state.wavefunction,))
-
-
 def cell_eigenvalues(n: int, v: int) -> tuple[EigenResult, EigenResult]:
-    """eigenvalue_one and eigenvalue_two of the (n, v) state, sharing one jet.
+    """ev1 and ev2 of the (n, v) state, sharing one jet.
 
-    The state's first and second derivatives are taken once; the two
-    operators are still built and applied separately.
+    ev1 is the action of the closed-form shifted commutator: TrivialZero
+    exactly on the s = 0 cells, where that operator vanishes identically;
+    elsewhere Proper(2n - v + 1).  ev2 is the doubled action of the diagonal
+    operator, reported on the same scale; that operator is never the zero
+    operator, so at s = 0, where its eigenvalue is 0, ev2 is Proper(0), not
+    TrivialZero.  The state's first and second derivatives are taken once;
+    the two operators are still built and applied separately.
     """
     state = make_state(n, v)
-    jet = state.wavefunction.jet(2)
-    return _eigenvalue_one(state, jet), _eigenvalue_two(state, jet)
+    s, jet = state.wavefunction.s, state.wavefunction.jet(2)
+    ev1 = _action(k0_prime_simplified(s, v), jet)
+    ev2 = _action(k0_diff(s, n), jet)
+    if ev2.status is EigenStatus.PROPER:
+        ev2 = EigenResult(ev2.value * 2, EigenStatus.PROPER)
+    return ev1, ev2
 
 
 def eigenvalue_three(n: int, v: int) -> Fraction:
@@ -167,7 +145,7 @@ def eigenvalue_composed(n: int, v: int) -> EigenResult:
     """
     state = make_state(n, v)
     try:
-        op = k0_prime_composed(state.qn.s, v)
+        op = k0_prime_composed(state.wavefunction.s, v)
     except UndefinedOperatorError:
         return _UNDEFINED
     return _action(op, (state.wavefunction,))
@@ -187,7 +165,7 @@ def _ladder_relation(sigma: int, n: int, v: int) -> LadderOutcome:
     target = make_state(m, v) if m >= 0 else None
     if target is not None and target.normalization is None:
         return LadderOutcome.OUT_OF_DOMAIN
-    applied = (k_plus if sigma > 0 else k_minus)(state.qn.s, v).apply(state.wavefunction)
+    applied = (k_plus if sigma > 0 else k_minus)(state.wavefunction.s, v).apply(state.wavefunction)
     if target is None:
         return LadderOutcome.HOLDS if applied.is_zero else LadderOutcome.FAILS
     k = max(n, m)

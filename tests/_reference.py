@@ -71,7 +71,7 @@ def _action_reference(op: DiffOp, state: WeightedFunction) -> EigenResult:
 def cell_eigenvalues_reference(n: int, v: int) -> tuple[EigenResult, EigenResult]:
     """ev1 and ev2 of the (n, v) state, each operator applied to the state alone."""
     state = make_state(n, v)
-    s, f = state.qn.s, state.wavefunction
+    s, f = state.wavefunction.s, state.wavefunction
     ev1 = _action_reference(k0_prime_simplified(s, v), f)
     ev2 = _action_reference(k0_diff(s, n), f)
     if ev2.status is EigenStatus.PROPER:

@@ -147,7 +147,7 @@ def test_criterion_3_stationary_annihilation(full_grid):
     for n in range(N_MAX + 1):
         for v in range(V_MAX + 1):
             state = make_state(n, v)
-            applied = schrodinger_diff(state.qn.s, v).apply(state.wavefunction)
+            applied = schrodinger_diff(state.wavefunction.s, v).apply(state.wavefunction)
             if not applied.is_zero:
                 failures.append((n, v))
     _verdict(
@@ -188,7 +188,7 @@ def test_criterion_4_ladder_relations(full_grid):
     ground_domain = [v for v in range(v_cap + 1) if v != 1]
     for v in ground_domain:
         state = make_state(0, v)
-        if k_minus(state.qn.s, v).apply(state.wavefunction).is_zero:
+        if k_minus(state.wavefunction.s, v).apply(state.wavefunction).is_zero:
             annihilated += 1
     ok = (
         not fails
@@ -353,7 +353,7 @@ def test_criterion_7_property_suites(full_grid, tmp_path):
     worst = 0.0
     for n, v in spot_cells:
         state = make_state(n, v)
-        op = k0_prime_simplified(state.qn.s, v)
+        op = k0_prime_simplified(state.wavefunction.s, v)
         lam = complex(2 * n - v + 1)
         applied = op.apply(state.wavefunction)
         for y in (Fraction(1, 2), Fraction(1), Fraction(2)):

@@ -1,4 +1,4 @@
-"""Quantum numbers, Laguerre polynomials, normalization, states, constants."""
+"""Weight exponent, Laguerre polynomials, normalization, states, constants."""
 
 from __future__ import annotations
 
@@ -16,33 +16,33 @@ from morsealg import (
     PhysicalParams,
     RadicalScalar,
     laguerre,
-    make_quantum_numbers,
     make_state,
     normalization,
     physical_map,
     sqrt_of_rational,
+    weight_exponent,
 )
 
 
 def test_quantum_numbers_examples():
-    assert make_quantum_numbers(0, 2).s == Fraction(1, 2)
-    assert make_quantum_numbers(0, 1).s == 0
-    assert make_quantum_numbers(50, 0).s == Fraction(-101, 2)
+    assert weight_exponent(0, 2) == Fraction(1, 2)
+    assert weight_exponent(0, 1) == 0
+    assert weight_exponent(50, 0) == Fraction(-101, 2)
 
 
 def test_quantum_numbers_reject_negative_indices():
     with pytest.raises(ValueError):
-        make_quantum_numbers(-1, 0)
+        weight_exponent(-1, 0)
     with pytest.raises(ValueError):
-        make_quantum_numbers(0, -3)
+        weight_exponent(0, -3)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 100), st.integers(0, 100))
 def test_physical_flag_matches_half_plane(n, v):
-    qn = make_quantum_numbers(n, v)
-    assert 2 * qn.s == v - 2 * n - 1
-    assert qn.is_physical == (v >= 2 * n + 1)
+    s = weight_exponent(n, v)
+    assert 2 * s == v - 2 * n - 1
+    assert (s >= 0) == (v >= 2 * n + 1)
 
 
 def test_laguerre_examples():
@@ -125,7 +125,7 @@ def test_normalization_defined_exactly_on_ladder_domain(n, v):
 
 def test_make_state_examples():
     st02 = make_state(0, 2)
-    assert st02.qn.s == Fraction(1, 2)
+    assert st02.wavefunction.s == Fraction(1, 2)
     assert st02.wavefunction.poly == LaurentPoly.one()
     assert st02.normalization == RadicalScalar(1)
 

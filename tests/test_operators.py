@@ -279,7 +279,7 @@ def test_simplified_commutator_is_scaled_stationary_operator():
 def test_stationary_operator_annihilates_states():
     for n, v in [(0, 2), (0, 1), (1, 4), (2, 9), (3, 0)]:
         state = make_state(n, v)
-        assert schrodinger_diff(state.qn.s, v).apply(state.wavefunction).is_zero
+        assert schrodinger_diff(state.wavefunction.s, v).apply(state.wavefunction).is_zero
 
 
 def test_simplified_commutator_zero_at_s_zero():

@@ -225,8 +225,8 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize(
@@ -507,6 +507,23 @@ def test_read_report_rejects_an_eigenvalue_sum(tmp_path, capsys, fmt):
         read_report(path)
     code = cli_run(["plot", "--in", str(path), "--mode", "sign", "--out", str(tmp_path / "x.svg")])
     assert code == 2 and capsys.readouterr().err.startswith("error: malformed scalar")
+
+
+# cell (0, 2) moved to (-1, 0) keeps v - 2n = 2, so every column after n and
+# v is the row a cell at (-1, 0) would have; the index checks on n reject it
+# before the grid check can
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_read_report_rejects_a_negative_index(tmp_path, capsys, fmt):
+    path = tmp_path / f"report.{fmt}"
+    write_report(scan(0, 2), "json", path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["cells"][0] = dict(doc["cells"][2], n=-1, v=0)
+    path.write_text(json.dumps(doc) if fmt == "json" else _csv_text(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="non-negative"):
+        read_report(path)
+    code = cli_run(["plot", "--in", str(path), "--mode", "sign", "--out", str(tmp_path / "x.svg")])
+    assert code == 2 and capsys.readouterr().err == "error: n and v must be non-negative\n"
+    assert not (tmp_path / "x.svg").exists()
 
 
 @pytest.mark.parametrize("written_n", ["01", "+1", " 1"])

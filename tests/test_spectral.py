@@ -17,10 +17,9 @@ from morsealg import (
     RadicalScalar,
     WeightedFunction,
     ZeroStateError,
+    cell_eigenvalues,
     eigenvalue_composed,
-    eigenvalue_one,
     eigenvalue_three,
-    eigenvalue_two,
     extract_eigenvalue,
     k0_prime_simplified,
     k_minus,
@@ -100,20 +99,20 @@ def test_extract_radical_eigenvalue():
 
 
 def test_eigenvalue_one_examples():
-    r = eigenvalue_one(0, 2)
+    r = cell_eigenvalues(0, 2)[0]
     assert (r.status, r.value) == (EigenStatus.PROPER, RadicalScalar(-1))
-    r = eigenvalue_one(0, 1)
+    r = cell_eigenvalues(0, 1)[0]
     assert (r.status, r.value) == (EigenStatus.TRIVIAL_ZERO, RadicalScalar(0))
-    r = eigenvalue_one(3, 10)
+    r = cell_eigenvalues(3, 10)[0]
     assert (r.status, r.value) == (EigenStatus.PROPER, RadicalScalar(-3))
 
 
 def test_eigenvalue_two_examples():
-    r = eigenvalue_two(0, 2)
+    r = cell_eigenvalues(0, 2)[1]
     assert (r.status, r.value) == (EigenStatus.PROPER, RadicalScalar(-1))
-    r = eigenvalue_two(0, 1)
+    r = cell_eigenvalues(0, 1)[1]
     assert (r.status, r.value) == (EigenStatus.PROPER, RadicalScalar(0))
-    r = eigenvalue_two(5, 3)
+    r = cell_eigenvalues(5, 3)[1]
     assert (r.status, r.value) == (EigenStatus.PROPER, RadicalScalar(8))
 
 
@@ -127,7 +126,7 @@ def test_eigenvalue_three_examples():
 
 def test_three_computations_agree_on_sample_cells():
     for n, v in [(0, 0), (0, 7), (4, 4), (2, 40), (10, 3), (6, 25)]:
-        e1, e2, e3 = eigenvalue_one(n, v), eigenvalue_two(n, v), eigenvalue_three(n, v)
+        (e1, e2), e3 = cell_eigenvalues(n, v), eigenvalue_three(n, v)
         assert e2.value == e3 == 2 * n - v + 1
         if (v - 2 * n - 1) != 0:
             assert e1.status is EigenStatus.PROPER and e1.value == e3
@@ -180,7 +179,7 @@ def _lowering_reference(n: int, v: int) -> LadderOutcome:
     if norm_n is None:
         return LadderOutcome.OUT_OF_DOMAIN
     state = make_state(n, v)
-    applied = k_minus(state.qn.s, v).apply(state.wavefunction)
+    applied = k_minus(state.wavefunction.s, v).apply(state.wavefunction)
     if n == 0:
         return LadderOutcome.HOLDS if applied.is_zero else LadderOutcome.FAILS
     norm_prev = normalization(n - 1, v)
@@ -200,7 +199,7 @@ def _raising_reference(n: int, v: int) -> LadderOutcome:
     if norm_n is None or norm_next is None:
         return LadderOutcome.OUT_OF_DOMAIN
     state = make_state(n, v)
-    applied = k_plus(state.qn.s, v).apply(state.wavefunction)
+    applied = k_plus(state.wavefunction.s, v).apply(state.wavefunction)
     lhs = applied * norm_n
     factor = sqrt_of_rational(Fraction((n + 1) * (v - n - 1))) * norm_next
     rhs = make_state(n + 1, v).wavefunction * factor
