@@ -7,7 +7,9 @@ exact polynomial identities.
 
 Ladder-operator constructors fold their scalar radical prefactor directly
 into the coefficients; the radical cancellations of the parameter-shifted
-commutator then happen through ordinary multiplication.
+commutator then happen through ordinary multiplication.  Composition, the
+commutator and the composed shifted commutator are one Leibniz kernel that
+adds integer numerators over one denominator per derivative order.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from fractions import Fraction
 from .functions import LaurentPoly, ScalarLike, WeightedFunction
 from .scalars import (
     _RATIONAL,
+    ZERO,
     RadicalScalar,
     Unit,
     _rational,
     _sqrt_unit,
     _unit_mul,
     accumulate,
-    sqrt_of_rational,
 )
 
 
@@ -46,9 +48,13 @@ class DiffOp:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, LaurentPoly] | None = None):
+        """TypeError unless every order is an int and every coefficient a
+        LaurentPoly: no float or bare number enters the exact core."""
         out: dict[int, LaurentPoly] = {}
         if terms:
             for k, p in terms.items():
+                if not isinstance(k, int) or not isinstance(p, LaurentPoly):
+                    raise TypeError(f"not an int order and a LaurentPoly: {k!r}: {p!r}")
                 if k < 0:
                     raise ValueError("derivative order must be non-negative")
                 if p:
@@ -149,38 +155,12 @@ class DiffOp:
                 unit = u
             elif u != unit:
                 raise ArithmeticError("cannot add polynomials with different radical units")
-            terms.append((a, g, m, a._den * g._den))
-        den = math.lcm(*(d for *_, d in terms))
-        out: dict[int, int] = {}
-        get = out.get
-        for a, g, m, d in terms:
-            m *= den // d
-            gn = g._num.items()
-            for e1, c1 in a._num.items():
-                c1 *= m
-                for e2, c2 in gn:
-                    e = e1 + e2
-                    out[e] = get(e, 0) + c1 * c2
-        out = {e: c for e, c in out.items() if c}
-        return WeightedFunction(s, LaurentPoly._reduced(out, den, unit))
+            terms.append((a._num, g._num, m, a._den * g._den))
+        return WeightedFunction(s, _sum_of_products(terms, unit))
 
     def compose(self, other: DiffOp) -> DiffOp:
         """Exact composition self after other, by the Leibniz expansion."""
-        # a product of nonzero polynomials is nonzero, so every term is kept
-        terms: list[tuple[int, LaurentPoly]] = []
-        for j, aj in self._terms.items():
-            for k, bk in other._terms.items():
-                bder = bk
-                for i in range(j + 1):
-                    c = aj * bder
-                    if math.comb(j, i) != 1:
-                        c = c.scaled(math.comb(j, i))
-                    terms.append((j - i + k, c))
-                    if i < j:
-                        bder = bder.derivative()
-                        if not bder:
-                            break
-        return DiffOp._raw(accumulate({}, terms))
+        return _leibniz([(1, self, other)])
 
     def __str__(self) -> str:
         if not self._terms:
@@ -204,9 +184,71 @@ _ZERO_OP = DiffOp._raw({})
 _IDENTITY_OP = DiffOp._raw({0: LaurentPoly.one()})
 
 
+def _sum_of_products(terms: list[tuple[dict, dict, int, int]], unit: Unit) -> LaurentPoly:
+    """The polynomial sum of m * A * G / d * unit over terms (A, G, m, d).
+
+    A and G are integer numerators by exponent, m a nonzero integer and
+    d > 0.  Every product is added as integer numerators over the lcm of
+    the d, and the sum is reduced once.
+    """
+    den = math.lcm(*(d for *_, d in terms))
+    out: dict[int, int] = {}
+    get = out.get
+    for a, g, m, d in terms:
+        m *= den // d
+        gn = g.items()
+        for e1, c1 in a.items():
+            c1 *= m
+            for e2, c2 in gn:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+    out = {e: c for e, c in out.items() if c}
+    return LaurentPoly._reduced(out, den, unit)
+
+
+def _leibniz(pairs: list[tuple[int, DiffOp, DiffOp]], first: int = 0) -> DiffOp:
+    """The sum of sign * (a after b) over pairs (sign, a, b), in normal form.
+
+    By the Leibniz rule a_j d^j (b_k d^k) = sum_i C(j, i) a_j b_k^(i)
+    d^(j - i + k); only the terms with i >= first are kept.  The terms of
+    one output order are added by _sum_of_products; terms of one order
+    with different radical units raise ArithmeticError.
+    """
+    by_order: dict[int, list] = {}
+    units: dict[int, Unit] = {}
+    for sign, a, b in pairs:
+        top = a.max_order
+        for k, bk in b._terms.items():
+            # b_k, b_k', ..., b_k^(top) as numerators over b_k's denominator,
+            # cut at the first zero derivative
+            ders = [bk._num]
+            while len(ders) <= top and (d := {e - 1: c * e for e, c in ders[-1].items() if e}):
+                ders.append(d)
+            for j, aj in a._terms.items():
+                m, unit = _unit_mul(aj._unit, bk._unit)
+                den = aj._den * bk._den
+                for i in range(first, min(j, len(ders) - 1) + 1):
+                    o = j - i + k
+                    if units.setdefault(o, unit) != unit:
+                        raise ArithmeticError("cannot add polynomials with different radical units")
+                    by_order.setdefault(o, []).append(
+                        (aj._num, ders[i], sign * m * math.comb(j, i), den)
+                    )
+    out = {}
+    for o, terms in by_order.items():
+        p = _sum_of_products(terms, units[o])
+        if p:
+            out[o] = p
+    return DiffOp._raw(out)
+
+
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    """[a, b] = a compose b - b compose a, in normal form."""
-    return a.compose(b) - b.compose(a)
+    """[a, b] = a compose b - b compose a, in normal form.
+
+    The Leibniz terms with i = 0, a_j b_k d^(j+k), are the same in both
+    products and cancel exactly, so only the terms with i >= 1 are added.
+    """
+    return _leibniz([(1, a, b), (-1, b, a)], first=1)
 
 
 def _ratio(x: Fraction | int) -> tuple[int, int]:
@@ -326,9 +368,16 @@ def k0_prime_composed(s: Fraction, v: Fraction | int) -> DiffOp:
     s = _rational(s)
     if s in (-1, 0, 1):
         raise UndefinedOperatorError(f"composed form undefined at s = {s}")
-    lowering_then_raise = k_plus(s + 1, v).compose(k_minus(s, v))
-    raising_then_lower = k_minus(s - 1, v).compose(k_plus(s, v))
-    return lowering_then_raise - raising_then_lower
+    return _shifted_commutator(k_plus(s + 1, v), k_minus(s, v), k_minus(s - 1, v), k_plus(s, v))
+
+
+def _shifted_commutator(
+    plus_above: DiffOp, minus: DiffOp, minus_below: DiffOp, plus: DiffOp
+) -> DiffOp:
+    """plus_above after minus, minus minus_below after plus: the composed
+    shifted commutator from its four ladder factors k_plus(s+1, v),
+    k_minus(s, v), k_minus(s-1, v) and k_plus(s, v)."""
+    return _leibniz([(1, plus_above, minus), (-1, minus_below, plus)])
 
 
 def naive_commutator(s: Fraction, v: Fraction | int) -> DiffOp:
@@ -354,6 +403,14 @@ def naive_commutator_coefficient(s: Fraction) -> RadicalScalar:
     s = _rational(s)
     if s == 0:
         raise UndefinedOperatorError("ladder operators undefined at s = 0")
-    pref = sqrt_of_rational(Fraction(s - 1, s)) * sqrt_of_rational(Fraction(s + 1, s))
-    return pref * (2 * s * (1 - 4 * s * s))
+    a, b = s.numerator, s.denominator
+    # with s = a/b: sqrt((s -/+ 1)/s) = sqrt((a -/+ b)a)/|a| and
+    # 2s(1 - 4s^2) = 2a(b^2 - 4a^2)/b^3; zero at s = +/-1 and s = +/-1/2
+    q = 2 * (b * b - 4 * a * a)
+    if not q or a * a == b * b:
+        return ZERO
+    k1, u1 = _sqrt_unit((a - b) * a)
+    k2, u2 = _sqrt_unit((a + b) * a)
+    g, unit = _unit_mul(u1, u2)
+    return RadicalScalar._raw(Fraction(q * k1 * k2 * g, a * b**3), unit)
 

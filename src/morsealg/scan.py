@@ -15,6 +15,7 @@ operator checks over the cells of one ``scan``.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import operator
 import os
@@ -28,9 +29,11 @@ from .model import make_state, weight_exponent
 from .operators import (
     DiffOp,
     OpClass,
-    k0_prime_composed,
+    _shifted_commutator,
+    commutator,
     k0_prime_simplified,
-    naive_commutator,
+    k_minus,
+    k_plus,
     naive_commutator_coefficient,
     schrodinger_diff,
 )
@@ -376,24 +379,38 @@ def run_invariant_suite(n_max: int, v_max: int) -> list[InvariantResult]:
     stationary-equation operator, agreement of the composed and closed-form
     shifted commutators where all radicands are non-negative, and the
     collapsed form of the unshifted commutator.
+
+    The cells are visited one v column at a time.  Within a column the
+    cell at n has weight s and its neighbours at n -/+ 1 have s +/- 1, so
+    each k_plus(s, v) and k_minus(s, v) is built once and serves the
+    composed and the naive form of up to three cells; the memo ends with
+    its column.  Failures are listed in (n, v) order.
     """
     report = scan(n_max, v_max)
     schro_fail: list[tuple[int, int]] = []
     composed_fail: list[tuple[int, int]] = []
     composed_checked = 0
     naive_fail: list[tuple[int, int]] = []
-    for cell in report.cells:
-        n, v, s = cell.n, cell.v, cell.s
-        if not schrodinger_diff(s, v).apply(make_state(n, v).wavefunction).is_zero:
-            schro_fail.append((n, v))
-        if abs(s) > 1:
-            composed_checked += 1
-            if k0_prime_composed(s, v) != k0_prime_simplified(s, v):
-                composed_fail.append((n, v))
-        if s != 0:
-            expected = DiffOp.multiplication(LaurentPoly({-2: naive_commutator_coefficient(s)}))
-            if naive_commutator(s, v) != expected:
-                naive_fail.append((n, v))
+    for v in range(v_max + 1):
+        plus = functools.cache(functools.partial(k_plus, v=v))
+        minus = functools.cache(functools.partial(k_minus, v=v))
+        # the cells are stored row by row, v_max + 1 to a row of constant n
+        for cell in report.cells[v :: v_max + 1]:
+            n, s = cell.n, cell.s
+            if not schrodinger_diff(s, v).apply(make_state(n, v).wavefunction).is_zero:
+                schro_fail.append((n, v))
+            if abs(s) > 1:
+                composed_checked += 1
+                composed = _shifted_commutator(plus(s + 1), minus(s), minus(s - 1), plus(s))
+                if composed != k0_prime_simplified(s, v):
+                    composed_fail.append((n, v))
+            if s != 0:
+                expected = DiffOp.multiplication(LaurentPoly({-2: naive_commutator_coefficient(s)}))
+                if commutator(plus(s), minus(s)) != expected:
+                    naive_fail.append((n, v))
+    schro_fail.sort()
+    composed_fail.sort()
+    naive_fail.sort()
     sign_fail = [
         (c.n, c.v)
         for c in report.cells

@@ -320,9 +320,11 @@ def test_module_invocation():
 
 
 # (argv, golden stdout file, exit code), recorded before the two ladder
-# checks were folded into one body
+# checks were folded into one body; the verify file before its checks shared
+# ladder operators within a column
 GOLDEN_RUNS = [
     (["ladder", "--v-max", "40"], "ladder_v40.txt", 0),
+    (["verify", "--n-max", "12", "--v-max", "40"], "verify_n12_v40.txt", 0),
     *(
         (["cell", "--verbose", "--n", str(n), "--v", str(v)], f"cell_verbose_{n}_{v}.txt", 0)
         for n, v in [(3, 11), (2, 3), (4, 2), (0, 1), (0, 2)]

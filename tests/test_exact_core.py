@@ -1,4 +1,5 @@
-"""No floating point in the exact core, checked on the source itself.
+"""No floating point in the exact core, checked on the source itself and
+at the DiffOp constructor.
 
 plot.py, cli.py and model.physical_map are the documented float sites: the
 first two draw and print, the last maps physical constants.  Everything
@@ -11,6 +12,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from morsealg import DiffOp, LaurentPoly
 
 SRC = Path(__file__).parent.parent / "src" / "morsealg"
 
@@ -81,3 +84,24 @@ def test_detector_skips_the_float_sites():
 def test_core_module_uses_no_float(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     assert _float_uses(tree) == []
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {0: 0.5},
+        {1.0: LaurentPoly.one()},
+        {1: 5},
+        {0: 1},
+        {0: LaurentPoly.one(), 2: 0.25},
+        {"1": LaurentPoly.one()},
+    ],
+)
+def test_diff_op_refuses_a_non_int_order_or_non_polynomial_coefficient(terms):
+    with pytest.raises(TypeError):
+        DiffOp(terms)
+
+
+def test_diff_op_keeps_int_orders_and_polynomial_coefficients():
+    op = DiffOp({0: LaurentPoly.one(), 2: LaurentPoly.zero()})
+    assert op.terms == {0: LaurentPoly.one()}

@@ -30,7 +30,14 @@ from morsealg import (
 )
 from morsealg import operators as operators_module
 
-from _reference import apply_reference
+from _reference import (
+    apply_reference,
+    commutator_reference,
+    compose_reference,
+    k0_prime_composed_reference,
+    naive_commutator_coefficient_reference,
+    naive_commutator_reference,
+)
 from _strategies import diff_ops, laurent_polys, shared_unit, weighted_functions
 
 
@@ -229,7 +236,8 @@ def test_constructors_stay_on_the_integer_path(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(operators_module, "sqrt_of_rational")
+    # the prefactors come from integer square roots, never sqrt_of_rational
+    assert not hasattr(operators_module, "sqrt_of_rational")
     counting(RadicalScalar, "__mul__")
     counting(RadicalScalar, "__rmul__")
     counting(DiffOp, "scaled")
@@ -237,7 +245,7 @@ def test_constructors_stay_on_the_integer_path(monkeypatch):
     for s, v in cells:
         schrodinger_diff(s, v), k0_prime_simplified(s, v)
         if s:
-            k_plus(s, v), k_minus(s, v)
+            k_plus(s, v), k_minus(s, v), naive_commutator_coefficient(s)
     assert len(cells) == 1000 and calls == []
     # the wrappers count: the reference pays a radical product per coefficient
     _k_plus_reference(Fraction(5, 2), 3)
@@ -473,6 +481,99 @@ def test_apply_raises_on_terms_with_different_units():
         op.apply(f.jet(1))
     # the zero function has no terms to add
     assert op.apply(WeightedFunction(Fraction(1, 2), LaurentPoly.zero())).is_zero
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the ArithmeticError it raised."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(diff_ops(max_order=3), diff_ops(max_order=3))
+def test_compose_matches_reference(a, b):
+    # a and b draw their radical units independently
+    assert _outcome(a.compose, b) == _outcome(compose_reference, a, b)
+    assert _outcome(b.compose, a) == _outcome(compose_reference, b, a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(diff_ops(max_order=3), diff_ops(max_order=3))
+def test_commutator_matches_reference(a, b):
+    expected = commutator_reference(a, b)
+    assert commutator(a, b) == expected
+    assert commutator(a, b) == a.compose(b) - b.compose(a)
+    assert commutator(b, a) == -expected
+
+
+def _leibniz_units(a: DiffOp, b: DiffOp) -> dict[int, set]:
+    """The units of the nonzero Leibniz products of a after b, by output order."""
+    units: dict[int, set] = {}
+    for j, aj in a.terms.items():
+        for k, bk in b.terms.items():
+            bder = bk
+            for i in range(j + 1):
+                if not bder:
+                    break
+                units.setdefault(j - i + k, set()).add(_unit(aj * bder))
+                bder = bder.derivative()
+    return units
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_unit_ops(), _mixed_unit_ops())
+def test_compose_with_mixed_units_matches_reference(a, b):
+    if any(len(u) > 1 for u in _leibniz_units(a, b).values()):
+        with pytest.raises(ArithmeticError):
+            a.compose(b)
+    else:
+        assert a.compose(b) == compose_reference(a, b)
+
+
+def test_compose_raises_on_terms_with_different_units():
+    a = DiffOp({0: LaurentPoly.one(), 1: LaurentPoly.constant(sqrt_of_rational(2))})
+    b = DiffOp({0: LaurentPoly.one(), 1: LaurentPoly.one()})
+    # order 1 adds 1 * 1 and sqrt(2) * 1
+    with pytest.raises(ArithmeticError):
+        a.compose(b)
+    with pytest.raises(ArithmeticError):
+        compose_reference(a, b)
+
+
+def _beyond_grid_weights() -> list[tuple[Fraction, Fraction | int]]:
+    """(s, v) of cells sampled up to n = 300, v = 650, plus non-grid rationals."""
+    rng = random.Random(14)
+    out = []
+    for _ in range(40):
+        n, v = rng.randint(0, 300), rng.randint(0, 650)
+        out.append((Fraction(v - 2 * n - 1, 2), v))
+    for s in (Fraction(1, 3), Fraction(-1, 3), Fraction(2, 5), Fraction(-7, 9)):
+        out += [(s, 4), (s, Fraction(7, 3)), (s, 0)]
+    out += [(Fraction(5, 3), Fraction(-2, 7)), (Fraction(-11, 4), Fraction(9, 5))]
+    return out
+
+
+def test_composed_and_naive_commutators_match_reference_beyond_the_grid():
+    for s, v in _beyond_grid_weights():
+        if s not in (-1, 0, 1):
+            assert k0_prime_composed(s, v) == k0_prime_composed_reference(s, v), (s, v)
+        if s != 0:
+            assert naive_commutator(s, v) == naive_commutator_reference(s, v), (s, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-400, max_value=400, max_denominator=12).filter(bool))
+def test_naive_coefficient_matches_reference(s):
+    assert naive_commutator_coefficient(s) == naive_commutator_coefficient_reference(s)
+
+
+def test_naive_coefficient_matches_reference_at_its_zeros_and_the_grid():
+    weights = [Fraction(k, 2) for k in range(-801, 802) if k]
+    weights += [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
+    for s in weights:
+        assert naive_commutator_coefficient(s) == naive_commutator_coefficient_reference(s), s
 
 
 def test_jet_takes_each_derivative_once():

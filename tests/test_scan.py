@@ -24,17 +24,23 @@ from morsealg import (
     CSV_HEADER,
     DiffOp,
     EigenStatus,
+    LaurentPoly,
     OpClass,
     RadicalScalar,
     ScanReport,
     SignClass,
     WeightedFunction,
     compute_cell,
+    k0_prime_composed,
+    k0_prime_simplified,
     make_state,
+    naive_commutator,
+    naive_commutator_coefficient,
     read_report,
     run_invariant_suite,
     scan,
     schrodinger_diff,
+    sqrt_of_rational,
     summarize,
     write_report,
 )
@@ -742,3 +748,55 @@ def test_invariant_suite_names_failing_cells(monkeypatch):
         "0/77 states annihilated exactly; "
         "failing cells: (0,0), (0,1), (0,2), (0,3), (0,4) and 72 more"
     )
+
+
+def _failing_cells(failures: list[tuple[int, int]]) -> str:
+    shown = ", ".join(f"({n},{v})" for n, v in failures[:5])
+    more = "" if len(failures) <= 5 else f" and {len(failures) - 5} more"
+    return f"; failing cells: {shown}{more}"
+
+
+def test_invariant_suite_reports_a_wrong_ladder_in_grid_order(monkeypatch):
+    operators_module = importlib.import_module("morsealg.operators")
+    ladder = operators_module._ladder
+
+    def wrong_ladder(sigma, s, v):
+        # the bracket's 1/y coefficient s(2s - sigma) read as s(2s - sigma) + 1
+        extra = LaurentPoly.monomial(-1, sqrt_of_rational((s - sigma) / s))
+        return ladder(sigma, s, v) + DiffOp.multiplication(extra)
+
+    monkeypatch.setattr(operators_module, "_ladder", wrong_ladder)
+    n_max, v_max = 6, 10
+    # each cell on its own, in (n, v) order, with freshly built ladders
+    composed_fail, naive_fail = [], []
+    checked = 0
+    for n in range(n_max + 1):
+        for v in range(v_max + 1):
+            s = Fraction(v - 2 * n - 1, 2)
+            if abs(s) > 1:
+                checked += 1
+                if k0_prime_composed(s, v) != k0_prime_simplified(s, v):
+                    composed_fail.append((n, v))
+            if s:
+                naive = DiffOp.multiplication(LaurentPoly({-2: naive_commutator_coefficient(s)}))
+                if naive_commutator(s, v) != naive:
+                    naive_fail.append((n, v))
+    # column order would list these cells differently
+    for fails in (composed_fail, naive_fail):
+        assert len(fails) > 5
+        assert fails[:5] != sorted(fails, key=lambda c: (c[1], c[0]))[:5]
+    results = {r.name: r for r in run_invariant_suite(n_max, v_max)}
+    composed = results["composed-vs-simplified"]
+    assert not composed.passed
+    assert composed.detail == (
+        f"{checked - len(composed_fail)}/{checked} cells agree termwise"
+        f" ({77 - checked} cells with |s| <= 1 skipped)" + _failing_cells(composed_fail)
+    )
+    naive = results["unshifted-commutator-form"]
+    assert not naive.passed
+    assert naive.detail == (
+        "collapses to its 1/y^2 multiplication form on every s != 0 cell"
+        + _failing_cells(naive_fail)
+    )
+    for name in ("schrodinger-annihilation", "eigenvalue-equality", "sign-boundary"):
+        assert results[name].passed, name
