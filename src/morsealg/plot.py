@@ -7,6 +7,7 @@ SVG 1.1 text, byte-identical for identical reports and canvas sizes.
 
 from __future__ import annotations
 
+import functools
 from xml.sax.saxutils import escape
 
 from .operators import OpClass
@@ -125,12 +126,15 @@ def render_plot(report: ScanReport, mode: str, path, size: int = 900) -> None:
         )
         legend_x += 24 + 7 * len(label)
 
-    for color, _ in _LEGENDS[mode]:
-        dots = [
-            f'<circle cx="{x_of(c.n):.2f}" cy="{y_of(c.v):.2f}" r="{radius:.2f}"/>'
-            for c in report.cells
-            if color_of(c) == color
-        ]
+    # one pass sorts the dots by color, each color's in cell order; a
+    # coordinate's text is formatted once per n and once per v
+    dots_of: dict[str, list[str]] = {color: [] for color, _ in _LEGENDS[mode]}
+    x_text = functools.cache(lambda n: f"{x_of(n):.2f}")
+    y_text = functools.cache(lambda v: f"{y_of(v):.2f}")
+    r_text = f"{radius:.2f}"
+    for c in report.cells:
+        dots_of[color_of(c)].append(f'<circle cx="{x_text(c.n)}" cy="{y_text(c.v)}" r="{r_text}"/>')
+    for color, dots in dots_of.items():
         if dots:
             lines.append(f'<g fill="{color}">')
             lines.extend(dots)

@@ -21,8 +21,9 @@ import operator
 import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .functions import LaurentPoly
 from .model import make_state, weight_exponent
@@ -49,13 +50,14 @@ class SignClass(enum.Enum):
 CSV_HEADER = "n,v,s,s_sign,op_class,ev1,ev1_status,ev2,ev2_status,ev3,equal_12,equal_13,all_equal"
 
 
-@dataclass(frozen=True)
-class CellRecord:
+class CellRecord(NamedTuple):
     """One grid cell: classification, the three eigenvalues, equality flags.
 
     ev1 is the closed-form shifted commutator's action, ev2 the doubled
     diagonal-operator action, ev3 the algebraic prediction 2n - v + 1.
     Only ev1 and ev2 are computed; _record derives every other field.
+    A record is an immutable tuple of these fields: it equals the plain
+    tuple of its values, and _replace gives a copy with fields changed.
     """
 
     n: int
@@ -124,15 +126,17 @@ def compute_cell(n: int, v: int) -> CellRecord:
 
 
 def summarize(cells: tuple[CellRecord, ...]) -> Summary:
-    """Recount every classification; used at scan time and as a consistency check."""
-    op_counts = {c.value: 0 for c in OpClass}
-    sign_counts = {c.value: 0 for c in SignClass}
+    """Recount every classification; used at scan time and as a consistency check.
+
+    Members are counted by identity (list.count compares with `is` first)
+    and named by their values once, in definition order.
+    """
+    op_classes = [cell.op_class for cell in cells]
+    signs = [cell.s_sign for cell in cells]
     proper = 0
     trivial = 0
     mismatches: list[tuple[int, int]] = []
     for cell in cells:
-        op_counts[cell.op_class.value] += 1
-        sign_counts[cell.s_sign.value] += 1
         if cell.all_equal:
             if cell.op_class is OpClass.PROPER:
                 proper += 1
@@ -142,8 +146,8 @@ def summarize(cells: tuple[CellRecord, ...]) -> Summary:
             mismatches.append((cell.n, cell.v))
     return Summary(
         total=len(cells),
-        op_class_counts=op_counts,
-        sign_counts=sign_counts,
+        op_class_counts={c.value: op_classes.count(c) for c in OpClass},
+        sign_counts={c.value: signs.count(c) for c in SignClass},
         all_equal_proper=proper,
         all_equal_trivial=trivial,
         mismatches=tuple(mismatches),
@@ -208,10 +212,15 @@ def write_report(report: ScanReport, format: str, path) -> None:
 
     The bytes are those of json.dump(doc, indent=1) + "\n" and of the CSV
     header plus one comma-joined row per cell.  Each distinct row tail (the
-    values written after n and v) is encoded once per call: the memo key is
-    the tail itself, so a cell's text is its own n and v followed by the
-    text of an equal tail.  I/O problems surface as the interpreter's usual
-    OSError.
+    values _row lays out after n and v) is encoded once per call: the memo
+    key is the tail itself, so a cell's text is its own n and v followed by
+    the text of an equal tail.  The JSON k0 column is not in the key: k0 is
+    ev3 / 2 and str(Fraction) is canonical, so an equal ev3 text means an
+    equal k0, and str(cell.k0) runs only for a new tail.  Like the 1 == True
+    limit of _json_row, this holds for records whose ev3 is a Fraction, as
+    _record builds them; a hand-built record with an int ev3 would share
+    the k0 text of a Fraction one.  I/O problems surface as the
+    interpreter's usual OSError.
     """
     encoded: dict[tuple, str] = {}
     if format == "json":
@@ -234,12 +243,12 @@ def write_report(report: ScanReport, format: str, path) -> None:
             fh.write(json.dumps(doc, indent=1)[:-3])
             separator = ""
             for cell in report.cells:
-                row = _row(cell)
-                tail = row[2:_K0_AT] + (str(cell.k0),) + row[_K0_AT:]
+                tail = _row(cell)[2:]
                 tail_text = encoded.get(tail)
                 if tail_text is None:
+                    values = tail[: _K0_AT - 2] + (str(cell.k0),) + tail[_K0_AT - 2 :]
                     # a cell sits at depth 2; drop the tail's opening brace
-                    tail_text = json.dumps(dict(zip(_JSON_KEYS[2:], tail)), indent=1)
+                    tail_text = json.dumps(dict(zip(_JSON_KEYS[2:], values)), indent=1)
                     tail_text = encoded[tail] = tail_text.replace("\n", "\n  ")[1:]
                 fh.write(f'{separator}\n  {{\n   "n": {cell.n},\n   "v": {cell.v},{tail_text}')
                 separator = ","
@@ -268,14 +277,16 @@ def _cell_from_row(
     v - 2n, so checked maps (v - 2n, stored[2:]) to the fields after n and
     v of a cell whose row passed this check: a row with the same key is
     that cell at its own n and v, and only its n and v columns are left to
-    compare.
+    compare.  A JSON row stores them as ints (_json_row checks the type), a
+    CSV row as text, which must be the canonical str of the int read.
     """
     n, v, _, _, _, ev1, ev1_status, ev2, ev2_status = stored[:9]
     n, v = int(n), int(v)
     key = (v - 2 * n, stored[2:])
     known = checked.get(key)
     if known is not None:
-        if written((n, v)) != stored[:2]:
+        stored_nv = stored[:2]
+        if stored_nv != (n, v) and stored_nv != (str(n), str(v)):
             raise ValueError(f"inconsistent report row for cell ({n}, {v})")
         return CellRecord(n, v, *known)
     cell = _record(
@@ -286,7 +297,7 @@ def _cell_from_row(
     )
     if written(_row(cell)) != stored:
         raise ValueError(f"inconsistent report row for cell ({n}, {v})")
-    checked[key] = tuple(getattr(cell, f.name) for f in fields(CellRecord)[2:])
+    checked[key] = cell[2:]
     return cell
 
 

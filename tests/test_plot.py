@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import lzma
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from morsealg import ScanReport, render_plot, scan, summarize
+from morsealg import ScanReport, read_report, render_plot, scan, summarize
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+PERFBENCH_DIR = Path(__file__).parent.parent / "perfbench"
 _SVG = "{http://www.w3.org/2000/svg}"
 
 
@@ -46,6 +50,28 @@ def test_golden_equality_plot(tmp_path):
     out = tmp_path / "equality.svg"
     render_plot(report, "equality", out, size=300)
     assert out.read_bytes() == (GOLDEN_DIR / "equality_4x6_300.svg").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def full_grid_reports(tmp_path_factory):
+    """The 101 x 101 benchmark fixture reports, read from each format."""
+    reports = {}
+    for fmt in ("json", "csv"):
+        path = tmp_path_factory.mktemp("fixture") / f"report.{fmt}"
+        path.write_bytes(lzma.decompress((PERFBENCH_DIR / "fixtures" / f"report.{fmt}.xz").read_bytes()))
+        reports[fmt] = read_report(path)
+    return reports
+
+
+@pytest.mark.parametrize("size", [600, 900, 1200])
+@pytest.mark.parametrize("mode", ["equality", "sign"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_full_grid_svg_bytes_match_the_recorded_digests(full_grid_reports, tmp_path, fmt, mode, size):
+    expected = json.loads((PERFBENCH_DIR / "expected.json").read_text(encoding="utf-8"))
+    out = tmp_path / "plot.svg"
+    render_plot(full_grid_reports[fmt], mode, out, size=size)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == expected["report-io"]["svg"][f"{mode}-{size}"]
 
 
 def test_render_is_deterministic(tmp_path):

@@ -8,7 +8,8 @@ from dataclasses import fields
 import pytest
 
 import morsealg
-from morsealg import make_state, weight_exponent
+from morsealg import CellRecord, compute_cell, make_state, weight_exponent
+from morsealg.scan import _cell_from_row, _csv_values, _row
 
 MODULES = ("cli", "functions", "model", "operators", "plot", "scalars", "scan", "spectral")
 
@@ -33,3 +34,61 @@ def test_state_carries_the_weight_exponent_once(n, v):
     state = make_state(n, v)
     assert [f.name for f in fields(state)] == ["wavefunction", "normalization"]
     assert state.wavefunction.s == weight_exponent(n, v)
+
+
+CELL_FIELDS = (
+    "n",
+    "v",
+    "s",
+    "s_sign",
+    "op_class",
+    "ev1",
+    "ev2",
+    "ev3",
+    "equal_12",
+    "equal_13",
+    "all_equal",
+)
+
+
+def test_cell_record_fields_in_order():
+    assert CellRecord._fields == CELL_FIELDS
+
+
+@pytest.mark.parametrize("field", CELL_FIELDS)
+def test_cell_record_is_immutable(field):
+    cell = compute_cell(3, 7)
+    with pytest.raises(AttributeError):
+        setattr(cell, field, getattr(cell, field))
+
+
+@pytest.mark.parametrize("n, v", [(0, 0), (3, 7), (5, 3), (150, 300)])
+def test_cell_record_k0_is_half_of_ev3(n, v):
+    cell = compute_cell(n, v)
+    assert cell.k0 == cell.ev3 / 2
+    assert cell == tuple(getattr(cell, f) for f in CELL_FIELDS)
+
+
+@pytest.mark.parametrize("written", [tuple, _csv_values], ids=["json", "csv"])
+@pytest.mark.parametrize("n, v", [(150, 300), (120, 41), (200, 407)])
+def test_read_memo_hit_builds_the_computed_record(monkeypatch, written, n, v):
+    # (n - 1, v - 2) has the same v - 2n, so its row tail is the same and
+    # its derivation serves (n, v) from the memo
+    scan_module = importlib.import_module("morsealg.scan")
+    rows = [written(_row(compute_cell(n - 1, v - 2))), written(_row(compute_cell(n, v)))]
+    record = scan_module._record
+    derived = []
+
+    def counting(*args):
+        derived.append(args[:2])
+        return record(*args)
+
+    monkeypatch.setattr(scan_module, "_record", counting)
+    checked: dict = {}
+    first = _cell_from_row(rows[0], written, checked)
+    cell = _cell_from_row(rows[1], written, checked)
+    monkeypatch.undo()
+    assert derived == [(n - 1, v - 2)]
+    assert type(cell) is CellRecord
+    assert cell == compute_cell(n, v)
+    assert cell[2:] == first[2:]

@@ -11,7 +11,6 @@ import random
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -22,6 +21,7 @@ from hypothesis import strategies as st
 
 from morsealg import (
     CSV_HEADER,
+    CellRecord,
     DiffOp,
     EigenStatus,
     LaurentPoly,
@@ -632,7 +632,7 @@ def _reference_text(report: ScanReport, fmt: str) -> str:
 
 def _tail_sharing_report() -> ScanReport:
     """Cells (0, 4), (1, 6), (2, 8): one v - 2n and one ev1, ev2, but (1, 6) has all_equal flipped."""
-    cells = (compute_cell(0, 4), replace(compute_cell(1, 6), all_equal=False), compute_cell(2, 8))
+    cells = (compute_cell(0, 4), compute_cell(1, 6)._replace(all_equal=False), compute_cell(2, 8))
     assert len({(c.v - 2 * c.n, c.ev1, c.ev2) for c in cells}) == 1
     return ScanReport(2, 8, cells, summarize(cells))
 
@@ -679,6 +679,45 @@ def test_write_report_encodes_each_distinct_row_tail_once(monkeypatch, tmp_path,
     assert len(report.cells) == 101 * 101
     assert 0 < len(tails) <= 301
     assert path.read_bytes() == fixture
+
+
+def test_write_report_derives_k0_once_per_distinct_row_tail(monkeypatch, tmp_path):
+    fixture = lzma.decompress((REPORT_FIXTURES / "report.json.xz").read_bytes())
+    path = tmp_path / "report.json"
+    path.write_bytes(fixture)
+    report = read_report(path)
+    k0 = CellRecord.k0
+    evaluations = []
+
+    def counting(cell):
+        evaluations.append((cell.n, cell.v))
+        return k0.fget(cell)
+
+    monkeypatch.setattr(CellRecord, "k0", property(counting))
+    write_report(report, "json", path)
+    monkeypatch.undo()
+    # v - 2n takes 301 values on the 101 x 101 grid
+    assert len(report.cells) == 101 * 101
+    assert 0 < len(evaluations) <= 301
+    assert path.read_bytes() == fixture
+
+
+def test_csv_read_converts_each_distinct_row_once(monkeypatch, tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_bytes(lzma.decompress((REPORT_FIXTURES / "report.csv.xz").read_bytes()))
+    csv_values = scan_module._csv_values
+    conversions = []
+
+    def counting(values):
+        conversions.append(values)
+        return csv_values(values)
+
+    monkeypatch.setattr(scan_module, "_csv_values", counting)
+    loaded = read_report(path)
+    monkeypatch.undo()
+    # a repeated row compares only its n and v text, without _csv_values
+    assert len(loaded.cells) == 101 * 101
+    assert 0 < len(conversions) <= 301
 
 
 def test_csv_round_trip_preserves_cells(tmp_path):
