@@ -1,9 +1,10 @@
 """Morse-oscillator model data: the weight exponent, Laguerre polynomials, states.
 
 The bound states live on an integer grid (n, v) with derived weight exponent
-s = (v - 2n - 1)/2.  States are kept unnormalized by default; the
-normalization constant is attached separately and only where it is defined,
-because every eigenvalue computation cancels it anyway.
+s = (v - 2n - 1)/2.  States are kept unnormalized by default
+(``wavefunction``); ``make_state`` attaches the normalization constant
+separately and only where it is defined, because every eigenvalue
+computation cancels it anyway.
 """
 
 from __future__ import annotations
@@ -96,11 +97,25 @@ def normalization(n: int, v: int) -> RadicalScalar | None:
     )
 
 
+def wavefunction(n: int, v: int) -> WeightedFunction:
+    """The unnormalized state at (n, v): exp(-y/2) * y^s * L_n^{2s}(y).
+
+    Built afresh on every call, with no normalization constant; grid passes
+    that only need the wavefunction use this and let it go with the cell.
+    """
+    s = weight_exponent(n, v)
+    return WeightedFunction(s, laguerre(n, 2 * s))
+
+
 @lru_cache(maxsize=None)
 def make_state(n: int, v: int) -> MorseState:
-    """The grid state at (n, v), with normalization attached when defined."""
-    s = weight_exponent(n, v)
-    return MorseState(WeightedFunction(s, laguerre(n, 2 * s)), normalization(n, v))
+    """The grid state at (n, v), with normalization attached when defined.
+
+    Cached for the callers that read a normalization constant or a
+    neighbouring state: the ladder checks, the composed eigenvalue and
+    ``cell --verbose``.
+    """
+    return MorseState(wavefunction(n, v), normalization(n, v))
 
 
 def physical_map(params: PhysicalParams, n: int = 0) -> tuple[float, float, float]:

@@ -8,8 +8,9 @@ A cell's row is defined once.  ``_record`` derives every field from (n, v)
 and the two computed eigenvalues, ``_row`` lays the fields out in
 CSV_HEADER order for both report formats, and ``read_report`` rebuilds each
 distinct row through ``_record`` once and rejects a file whose rows or grid
-differ from what ``write_report`` would write.  The ``verify`` suite runs its
-operator checks over the cells of one ``scan``.
+differ from what ``write_report`` would write.  The ``verify`` suite visits
+each cell once: it builds the cell's record as ``scan`` does and runs its
+operator checks on the same state.
 """
 
 from __future__ import annotations
@@ -26,20 +27,19 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .functions import LaurentPoly
-from .model import make_state, weight_exponent
+from .model import weight_exponent
 from .operators import (
     DiffOp,
     OpClass,
     _shifted_commutator,
     commutator,
-    k0_prime_simplified,
     k_minus,
     k_plus,
     naive_commutator_coefficient,
     schrodinger_diff,
 )
 from .scalars import RadicalScalar
-from .spectral import EigenResult, EigenStatus, cell_eigenvalues, eigenvalue_three
+from .spectral import EigenResult, EigenStatus, cell_eigenvalues, cell_step, eigenvalue_three
 
 
 class SignClass(enum.Enum):
@@ -154,16 +154,28 @@ def summarize(cells: tuple[CellRecord, ...]) -> Summary:
     )
 
 
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on, or None if unknown.
+
+    The affinity mask where the platform has one (taskset, a CPU-pinned
+    container), else the host's count.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count()
+
+
 def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
     """Compute every cell of the [0, n_max] x [0, v_max] grid.
 
     workers > 1 spreads rows of constant n over that many processes, but
-    never more than there are rows or CPUs; the result is identical either
-    way because cells are reassembled in (n, v) order.
+    never more than there are rows or CPUs this process may use; the result
+    is identical either way because cells are reassembled in (n, v) order.
     """
     if n_max < 0 or v_max < 0:
         raise ValueError("n_max and v_max must be non-negative")
-    workers = min(workers or 1, n_max + 1, os.cpu_count() or 1)
+    workers = min(workers or 1, n_max + 1, _usable_cpus() or 1)
     # row-major cells; a pool task is one row of constant n
     ns = [n for n in range(n_max + 1) for _ in range(v_max + 1)]
     vs = list(range(v_max + 1)) * (n_max + 1)
@@ -384,20 +396,24 @@ def _invariant(name: str, failures: Sequence[tuple[int, int]], detail: str) -> I
 def run_invariant_suite(n_max: int, v_max: int) -> list[InvariantResult]:
     """Grid-wide checks behind the `verify` command, one result per check.
 
-    Runs on the cells of scan(n_max, v_max): equality of the three
-    eigenvalue computations and the sign boundary v >= 2n + 1 come from
-    its records.  Each cell then checks annihilation by the
-    stationary-equation operator, agreement of the composed and closed-form
-    shifted commutators where all radicands are non-negative, and the
-    collapsed form of the unshifted commutator.
+    Visits every cell of the [0, n_max] x [0, v_max] grid once.  A cell's
+    record comes from cell_step, as in scan, and gives the equality of the
+    three eigenvalue computations and the sign boundary v >= 2n + 1.  In
+    the same visit the cell checks annihilation by the stationary-equation
+    operator, applied to the jet that ev1 and ev2 used, agreement of the
+    composed shifted commutator with the closed form that ev1 applied,
+    where all radicands are non-negative, and the collapsed form of the
+    unshifted commutator.  Each state is let go when its cell is done.
 
     The cells are visited one v column at a time.  Within a column the
     cell at n has weight s and its neighbours at n -/+ 1 have s +/- 1, so
     each k_plus(s, v) and k_minus(s, v) is built once and serves the
     composed and the naive form of up to three cells; the memo ends with
-    its column.  Failures are listed in (n, v) order.
+    its column.  Cells and failures are listed in (n, v) order.
     """
-    report = scan(n_max, v_max)
+    if n_max < 0 or v_max < 0:
+        raise ValueError("n_max and v_max must be non-negative")
+    columns: list[list[CellRecord]] = []
     schro_fail: list[tuple[int, int]] = []
     composed_fail: list[tuple[int, int]] = []
     composed_checked = 0
@@ -405,30 +421,36 @@ def run_invariant_suite(n_max: int, v_max: int) -> list[InvariantResult]:
     for v in range(v_max + 1):
         plus = functools.cache(functools.partial(k_plus, v=v))
         minus = functools.cache(functools.partial(k_minus, v=v))
-        # the cells are stored row by row, v_max + 1 to a row of constant n
-        for cell in report.cells[v :: v_max + 1]:
-            n, s = cell.n, cell.s
-            if not schrodinger_diff(s, v).apply(make_state(n, v).wavefunction).is_zero:
+        column: list[CellRecord] = []
+        for n in range(n_max + 1):
+            ev1, ev2, jet, shifted = cell_step(n, v)
+            column.append(_record(n, v, ev1, ev2))
+            s = jet[0].s
+            if not schrodinger_diff(s, v).apply(jet).is_zero:
                 schro_fail.append((n, v))
             if abs(s) > 1:
                 composed_checked += 1
                 composed = _shifted_commutator(plus(s + 1), minus(s), minus(s - 1), plus(s))
-                if composed != k0_prime_simplified(s, v):
+                if composed != shifted:
                     composed_fail.append((n, v))
             if s != 0:
                 expected = DiffOp.multiplication(LaurentPoly({-2: naive_commutator_coefficient(s)}))
                 if commutator(plus(s), minus(s)) != expected:
                     naive_fail.append((n, v))
+        columns.append(column)
+    # zip(*columns) gives the rows of constant n
+    cells = tuple(cell for row in zip(*columns) for cell in row)
     schro_fail.sort()
     composed_fail.sort()
     naive_fail.sort()
+    summary = summarize(cells)
     sign_fail = [
         (c.n, c.v)
-        for c in report.cells
+        for c in cells
         if (c.s_sign is SignClass.NON_NEGATIVE) != (c.v >= 2 * c.n + 1)
     ]
-    total = report.summary.total
-    mismatches = report.summary.mismatches
+    total = summary.total
+    mismatches = summary.mismatches
     return [
         _invariant(
             "schrodinger-annihilation",

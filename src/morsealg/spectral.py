@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .functions import Comparison, WeightedFunction
-from .model import make_state
+from .model import make_state, wavefunction
 from .operators import (
     DiffOp,
     UndefinedOperatorError,
@@ -110,23 +110,38 @@ def _action(op: DiffOp, jet: Sequence[WeightedFunction]) -> EigenResult:
     return _PROPER_ZERO if r.status is EigenStatus.TRIVIAL_ZERO else r
 
 
+def cell_step(
+    n: int, v: int
+) -> tuple[EigenResult, EigenResult, tuple[WeightedFunction, ...], DiffOp]:
+    """ev1 and ev2 of the (n, v) state, the jet they share and ev1's operator.
+
+    The state is built afresh, without a normalization constant, and its
+    first and second derivatives are taken once; the two operators are
+    still built and applied separately.  The jet (f, f', f'') and the
+    closed-form shifted commutator are returned so that the invariant suite
+    can check the same cell without taking them again.
+    """
+    f = wavefunction(n, v)
+    s, jet = f.s, f.jet(2)
+    shifted = k0_prime_simplified(s, v)
+    ev1 = _action(shifted, jet)
+    ev2 = _action(k0_diff(s, n), jet)
+    if ev2.status is EigenStatus.PROPER:
+        ev2 = EigenResult(ev2.value * 2, EigenStatus.PROPER)
+    return ev1, ev2, jet, shifted
+
+
 def cell_eigenvalues(n: int, v: int) -> tuple[EigenResult, EigenResult]:
-    """ev1 and ev2 of the (n, v) state, sharing one jet.
+    """ev1 and ev2 of the (n, v) state, sharing one jet (see cell_step).
 
     ev1 is the action of the closed-form shifted commutator: TrivialZero
     exactly on the s = 0 cells, where that operator vanishes identically;
     elsewhere Proper(2n - v + 1).  ev2 is the doubled action of the diagonal
     operator, reported on the same scale; that operator is never the zero
     operator, so at s = 0, where its eigenvalue is 0, ev2 is Proper(0), not
-    TrivialZero.  The state's first and second derivatives are taken once;
-    the two operators are still built and applied separately.
+    TrivialZero.
     """
-    state = make_state(n, v)
-    s, jet = state.wavefunction.s, state.wavefunction.jet(2)
-    ev1 = _action(k0_prime_simplified(s, v), jet)
-    ev2 = _action(k0_diff(s, n), jet)
-    if ev2.status is EigenStatus.PROPER:
-        ev2 = EigenResult(ev2.value * 2, EigenStatus.PROPER)
+    ev1, ev2, _, _ = cell_step(n, v)
     return ev1, ev2
 
 

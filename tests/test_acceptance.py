@@ -2,8 +2,9 @@
 
 Each criterion prints a single `ACCEPTANCE <n> <name>: PASS|FAIL (...)` line
 before asserting, so `pytest -v` shows the verdicts inline.  The grid scan
-runs once (serially, so the per-state cache stays warm for the later
-criteria) in a module-scoped fixture.
+runs once, serially, in a module-scoped fixture.  The scan keeps no state,
+so criteria 3 and 5 build their own states through `make_state`: they stay
+recomputations independent of the scan's per-cell step.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from morsealg import (
     compute_cell,
     k0_prime_composed,
     k0_prime_simplified,
+    laguerre,
     make_state,
     naive_commutator,
     naive_commutator_coefficient,
@@ -129,25 +130,37 @@ def test_cell_matches_the_reference_path_beyond_the_grid(n, v):
     assert cell.all_equal
 
 
+def _count_calls(stack: contextlib.ExitStack, fn) -> mock.Mock:
+    """A mock wrapping fn, patched into every morsealg namespace that binds fn."""
+    counted = mock.Mock(wraps=fn)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "morsealg" and vars(module).get(fn.__name__) is fn:
+            stack.enter_context(mock.patch.object(module, fn.__name__, counted))
+    return counted
+
+
+def _count_derivatives(stack: contextlib.ExitStack) -> mock.Mock:
+    derivative = WeightedFunction.derivative
+    return stack.enter_context(
+        mock.patch.object(WeightedFunction, "derivative", autospec=True, side_effect=derivative)
+    )
+
+
 @pytest.mark.parametrize("n,v", [(1, 0), (2, 9), (5, 30), (30, 30), (3, 7), (0, 4)])
 def test_cell_builds_one_state_and_differentiates_it_twice(n, v):
-    # one make_state call and the two derivatives f', f'' per cell, counted
-    # through every morsealg namespace that binds make_state; (3, 7) has
-    # s = 0, where the shifted commutator is the zero operator
-    counted = mock.Mock(wraps=make_state)
-    derivative = WeightedFunction.derivative
+    # one Laguerre polynomial and the two derivatives f', f'' per cell,
+    # counted through every morsealg namespace that binds laguerre; the
+    # state is built outside the make_state cache; (3, 7) has s = 0, where
+    # the shifted commutator is the zero operator
     make_state.cache_clear()
     with contextlib.ExitStack() as stack:
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "morsealg" and vars(module).get("make_state") is make_state:
-                stack.enter_context(mock.patch.object(module, "make_state", counted))
-        d = stack.enter_context(
-            mock.patch.object(WeightedFunction, "derivative", autospec=True, side_effect=derivative)
-        )
+        counted = _count_calls(stack, laguerre)
+        d = _count_derivatives(stack)
         cell = compute_cell(n, v)
     assert cell.all_equal
     assert counted.call_count == 1
     assert d.call_count == 2
+    assert make_state.cache_info().currsize == 0
 
 
 def test_csv_rows_are_pinned(tmp_path):
@@ -246,12 +259,33 @@ class _SerialPool:
     ],
 )
 def test_pool_size_is_capped_before_any_process_starts(monkeypatch, workers, n_max, cpus, started):
+    # cpus is the size of the process's affinity mask, which the host count
+    # (64 here) must not override; an unknown count means a platform with no
+    # affinity call and no known host count
     monkeypatch.setattr(scan_module, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(scan_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(scan_module.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(
+            scan_module.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 64)
     _SerialPool.sizes = []
     report = scan(n_max, 2, workers=workers)
     assert _SerialPool.sizes == ([] if started is None else [started])
     assert report == scan(n_max, 2)
+
+
+@pytest.mark.parametrize("cpus, started", [(2, 2), (8, 3)])
+def test_pool_size_falls_back_to_the_host_cpu_count(monkeypatch, cpus, started):
+    # a platform without an affinity call caps the pool by the host's count
+    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.delattr(scan_module.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: cpus)
+    _SerialPool.sizes = []
+    scan(10, 2, workers=3)
+    assert _SerialPool.sizes == [started]
 
 
 def test_json_round_trip(tmp_path):
@@ -839,3 +873,48 @@ def test_invariant_suite_reports_a_wrong_ladder_in_grid_order(monkeypatch):
     )
     for name in ("schrodinger-annihilation", "eigenvalue-equality", "sign-boundary"):
         assert results[name].passed, name
+
+
+@pytest.mark.parametrize(
+    "module, name, failing",
+    [
+        # ev2's diagonal operator and the stationary operator are built apart
+        ("morsealg.spectral", "k0_diff", "eigenvalue-equality"),
+        ("morsealg.scan", "schrodinger_diff", "schrodinger-annihilation"),
+    ],
+)
+def test_invariant_suite_checks_ev2_and_the_stationary_equation_apart(
+    monkeypatch, module, name, failing
+):
+    # 1 added to the constant term of one of the two operators fails its
+    # own check on every cell and no other
+    target = importlib.import_module(module)
+    build = getattr(target, name)
+    monkeypatch.setattr(target, name, lambda s, x: build(s, x) + DiffOp.identity())
+    results = {r.name: r for r in run_invariant_suite(6, 10)}
+    assert not results[failing].passed
+    assert results[failing].detail.startswith("0/77 ")
+    for other in set(results) - {failing}:
+        assert results[other].passed, other
+
+
+def test_invariant_suite_builds_and_differentiates_each_state_once():
+    # the verify-grid grid: one Laguerre polynomial, the two derivatives
+    # f', f'' and one closed-form shifted commutator per cell, no state kept
+    make_state.cache_clear()
+    with contextlib.ExitStack() as stack:
+        polys = _count_calls(stack, laguerre)
+        simplified = _count_calls(stack, k0_prime_simplified)
+        d = _count_derivatives(stack)
+        results = run_invariant_suite(6, 100)
+    assert all(r.passed for r in results)
+    assert polys.call_count == 707
+    assert d.call_count == 1414
+    assert simplified.call_count == 707
+    assert make_state.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n_max, v_max", [(-1, 3), (3, -1)])
+def test_invariant_suite_rejects_negative_bounds(n_max, v_max):
+    with pytest.raises(ValueError, match="non-negative"):
+        run_invariant_suite(n_max, v_max)
