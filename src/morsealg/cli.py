@@ -24,6 +24,7 @@ from .scan import compute_cell, read_report, run_invariant_suite, scan, write_re
 from .spectral import (
     LadderOutcome,
     eigenvalue_composed,
+    ladder_column,
     verify_lowering,
     verify_raising,
 )
@@ -181,11 +182,8 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
     holds = fails = 0
     failing: list[str] = []
     for v in range(args.v_max + 1):
-        for n in range(v // 2 + 1):
-            for kind, outcome in (
-                ("lowering", verify_lowering(n, v)),
-                ("raising", verify_raising(n, v)),
-            ):
+        for n, (low, high) in enumerate(ladder_column(v)):
+            for kind, outcome in (("lowering", low), ("raising", high)):
                 if outcome is LadderOutcome.HOLDS:
                     holds += 1
                 elif outcome is LadderOutcome.FAILS:

@@ -111,9 +111,9 @@ def wavefunction(n: int, v: int) -> WeightedFunction:
 def make_state(n: int, v: int) -> MorseState:
     """The grid state at (n, v), with normalization attached when defined.
 
-    Cached for the callers that read a normalization constant or a
-    neighbouring state: the ladder checks, the composed eigenvalue and
-    ``cell --verbose``.
+    Cached for the single-cell callers that read a normalization constant
+    or a neighbouring state: ``verify_lowering``, ``verify_raising``, the
+    composed eigenvalue and ``cell --verbose``.
     """
     return MorseState(wavefunction(n, v), normalization(n, v))
 

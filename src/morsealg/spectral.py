@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .functions import Comparison, WeightedFunction
-from .model import make_state, wavefunction
+from .model import make_state, normalization, wavefunction
 from .operators import (
     DiffOp,
     UndefinedOperatorError,
@@ -61,6 +61,9 @@ _TRIVIAL = EigenResult(ZERO, EigenStatus.TRIVIAL_ZERO)
 _NOT_EIGEN = EigenResult(ZERO, EigenStatus.NOT_EIGENFUNCTION)
 _UNDEFINED = EigenResult(ZERO, EigenStatus.OPERATOR_UNDEFINED)
 _PROPER_ZERO = EigenResult(ZERO, EigenStatus.PROPER)
+
+# j -> (jet of the state psi_j, its normalization constant N_j or None)
+_StateLookup = Callable[[int], tuple[Sequence[WeightedFunction], RadicalScalar | None]]
 
 
 def extract_eigenvalue(result: WeightedFunction, state: WeightedFunction) -> EigenResult:
@@ -166,27 +169,59 @@ def eigenvalue_composed(n: int, v: int) -> EigenResult:
     return _action(op, (state.wavefunction,))
 
 
-def _ladder_relation(sigma: int, n: int, v: int) -> LadderOutcome:
+def _ladder_relation(sigma: int, n: int, v: int, state: _StateLookup) -> LadderOutcome:
     """Check N_n * K psi_n = sqrt(k(v-k)) * N_m * psi_m, m = n + sigma, k = max(n, m).
 
     K is the lowering operator for sigma = -1 and the raising one for
-    sigma = +1.  In domain when both normalization constants exist; m = -1
-    instead requires K to annihilate the ground state.
+    sigma = +1.  state(j) gives psi_j's jet (psi_j, possibly followed by its
+    derivatives, which K then uses instead of taking them again) and N_j;
+    it is asked for m only once N_n exists.  In domain when both
+    normalization constants exist; m = -1 instead requires K to annihilate
+    the ground state.
     """
-    state = make_state(n, v)
-    if state.normalization is None:
+    jet, norm = state(n)
+    if norm is None:
         return LadderOutcome.OUT_OF_DOMAIN
     m = n + sigma
-    target = make_state(m, v) if m >= 0 else None
-    if target is not None and target.normalization is None:
+    target, norm_m = state(m) if m >= 0 else (None, None)
+    if m >= 0 and norm_m is None:
         return LadderOutcome.OUT_OF_DOMAIN
-    applied = (k_plus if sigma > 0 else k_minus)(state.wavefunction.s, v).apply(state.wavefunction)
-    if target is None:
+    applied = (k_plus if sigma > 0 else k_minus)(jet[0].s, v).apply(jet)
+    if m < 0:
         return LadderOutcome.HOLDS if applied.is_zero else LadderOutcome.FAILS
     k = max(n, m)
-    factor = sqrt_of_rational(Fraction(k * (v - k))) * target.normalization
-    cmp = (applied * state.normalization).compare(target.wavefunction * factor)
+    factor = sqrt_of_rational(Fraction(k * (v - k))) * norm_m
+    cmp = (applied * norm).compare(target[0] * factor)
     return LadderOutcome.HOLDS if cmp is Comparison.EQUAL else LadderOutcome.FAILS
+
+
+def _cached_states(v: int) -> _StateLookup:
+    """The state lookup of _ladder_relation for column v, through make_state."""
+
+    def state(j: int):
+        cached = make_state(j, v)
+        return (cached.wavefunction,), cached.normalization
+
+    return state
+
+
+def ladder_column(v: int) -> list[tuple[LadderOutcome, LadderOutcome]]:
+    """(lowering, raising) at (n, v) for n = 0 .. v // 2, in that order.
+
+    normalization(n, v) is computed once for each n <= v // 2 + 1, and each
+    state whose constant exists is built once, outside the make_state
+    cache, with its first derivative; the lowering and the raising relation
+    both apply their operators to that jet.  The states go with the column.
+    """
+    column = []
+    for n in range(v // 2 + 2):
+        norm = normalization(n, v)
+        column.append((None if norm is None else wavefunction(n, v).jet(1), norm))
+    state = column.__getitem__
+    return [
+        (_ladder_relation(-1, n, v, state), _ladder_relation(1, n, v, state))
+        for n in range(v // 2 + 1)
+    ]
 
 
 def verify_lowering(n: int, v: int) -> LadderOutcome:
@@ -195,7 +230,7 @@ def verify_lowering(n: int, v: int) -> LadderOutcome:
     In domain when both normalization constants exist (v >= 2n + 2); the
     n = 0 branch instead requires exact annihilation of the ground state.
     """
-    return _ladder_relation(-1, n, v)
+    return _ladder_relation(-1, n, v, _cached_states(v))
 
 
 def verify_raising(n: int, v: int) -> LadderOutcome:
@@ -203,4 +238,4 @@ def verify_raising(n: int, v: int) -> LadderOutcome:
 
     In domain when both normalization constants exist (v >= 2n + 4).
     """
-    return _ladder_relation(1, n, v)
+    return _ladder_relation(1, n, v, _cached_states(v))

@@ -8,12 +8,10 @@ import importlib
 import json
 import lzma
 import random
-import sys
 import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +27,6 @@ from morsealg import (
     RadicalScalar,
     ScanReport,
     SignClass,
-    WeightedFunction,
     compute_cell,
     k0_prime_composed,
     k0_prime_simplified,
@@ -48,6 +45,7 @@ from morsealg import (
 from morsealg.cli import run as cli_run
 from morsealg.scan import _row
 
+from _counting import count_calls, count_derivatives
 from _reference import cell_eigenvalues_reference
 
 # the package's `scan` attribute is the function, so fetch the module itself
@@ -130,22 +128,6 @@ def test_cell_matches_the_reference_path_beyond_the_grid(n, v):
     assert cell.all_equal
 
 
-def _count_calls(stack: contextlib.ExitStack, fn) -> mock.Mock:
-    """A mock wrapping fn, patched into every morsealg namespace that binds fn."""
-    counted = mock.Mock(wraps=fn)
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "morsealg" and vars(module).get(fn.__name__) is fn:
-            stack.enter_context(mock.patch.object(module, fn.__name__, counted))
-    return counted
-
-
-def _count_derivatives(stack: contextlib.ExitStack) -> mock.Mock:
-    derivative = WeightedFunction.derivative
-    return stack.enter_context(
-        mock.patch.object(WeightedFunction, "derivative", autospec=True, side_effect=derivative)
-    )
-
-
 @pytest.mark.parametrize("n,v", [(1, 0), (2, 9), (5, 30), (30, 30), (3, 7), (0, 4)])
 def test_cell_builds_one_state_and_differentiates_it_twice(n, v):
     # one Laguerre polynomial and the two derivatives f', f'' per cell,
@@ -154,8 +136,8 @@ def test_cell_builds_one_state_and_differentiates_it_twice(n, v):
     # the shifted commutator is the zero operator
     make_state.cache_clear()
     with contextlib.ExitStack() as stack:
-        counted = _count_calls(stack, laguerre)
-        d = _count_derivatives(stack)
+        counted = count_calls(stack, laguerre)
+        d = count_derivatives(stack)
         cell = compute_cell(n, v)
     assert cell.all_equal
     assert counted.call_count == 1
@@ -903,9 +885,9 @@ def test_invariant_suite_builds_and_differentiates_each_state_once():
     # f', f'' and one closed-form shifted commutator per cell, no state kept
     make_state.cache_clear()
     with contextlib.ExitStack() as stack:
-        polys = _count_calls(stack, laguerre)
-        simplified = _count_calls(stack, k0_prime_simplified)
-        d = _count_derivatives(stack)
+        polys = count_calls(stack, laguerre)
+        simplified = count_calls(stack, k0_prime_simplified)
+        d = count_derivatives(stack)
         results = run_invariant_suite(6, 100)
     assert all(r.passed for r in results)
     assert polys.call_count == 707

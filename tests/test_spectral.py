@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from morsealg import (
     k0_prime_simplified,
     k_minus,
     k_plus,
+    laguerre,
     make_state,
     naive_commutator,
     normalization,
@@ -31,7 +34,11 @@ from morsealg import (
     verify_lowering,
     verify_raising,
 )
+from morsealg import operators
+from morsealg.cli import run as cli_run
+from morsealg.spectral import ladder_column
 
+from _counting import count_calls, count_derivatives
 from _reference import extract_reference
 from _strategies import nonzero_fractions, units, weighted_functions
 
@@ -229,6 +236,89 @@ def test_ladder_checks_match_reference_and_normalize_once_per_state(monkeypatch)
             assert verify_lowering(n, v) is _lowering_reference(n, v), (n, v)
             assert verify_raising(n, v) is _raising_reference(n, v), (n, v)
     assert calls == make_state.cache_info().misses
+
+
+@pytest.mark.parametrize("columns", [range(71), [101, 150]], ids=["v<=70", "v=101,150"])
+def test_ladder_column_matches_the_reference_bodies(columns):
+    # a column holds n = 0 .. v // 2, so v <= 70 covers the ground state and
+    # the v = 2n .. 2n + 3 edges of every n <= 34; 101 and 150 lie beyond
+    # the benchmark grid
+    for v in columns:
+        got = ladder_column(v)
+        assert len(got) == v // 2 + 1, v
+        for n, (low, high) in enumerate(got):
+            assert low is _lowering_reference(n, v), (n, v)
+            assert high is _raising_reference(n, v), (n, v)
+
+
+def test_ladder_sweep_builds_and_differentiates_each_state_once():
+    # counted through every morsealg namespace that binds each name: one
+    # closed-form constant per (n, v) with n <= v // 2 + 1, and one state
+    # and one derivative per cell whose constant exists (v >= 2n + 2), the
+    # only states a relation reads
+    v_max = 40
+    make_state.cache_clear()
+    with contextlib.ExitStack() as stack:
+        norms = count_calls(stack, normalization)
+        polys = count_calls(stack, laguerre)
+        d = count_derivatives(stack)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_run(["ladder", "--v-max", str(v_max)]) == 0
+    cells = [(n, v) for v in range(v_max + 1) for n in range(v // 2 + 2)]
+    assert norms.call_count == sum(v // 2 + 2 for v in range(v_max + 1))
+    assert sorted(c.args for c in norms.call_args_list) == sorted(cells)
+    normalizable = [(n, v) for n, v in cells if v >= 2 * n + 2]
+    assert polys.call_count == d.call_count == len(normalizable)
+    assert sorted(c.args[0] for c in polys.call_args_list) == sorted(n for n, _ in normalizable)
+    assert make_state.cache_info().currsize == 0
+
+
+def _in_domain(v_max: int) -> tuple[set[str], set[str]]:
+    """The lowering relations with n >= 1 and the raising relations whose
+    two normalization constants exist, named as the sweep prints them."""
+    cells = [(n, v) for v in range(v_max + 1) for n in range(v // 2 + 1)]
+    return (
+        {f"FAIL lowering ({n}, {v})" for n, v in cells if n >= 1 and v >= 2 * n + 2},
+        {f"FAIL raising ({n}, {v})" for n, v in cells if v >= 2 * n + 4},
+    )
+
+
+@pytest.mark.parametrize("wrong", ["normalization", "raising bracket"])
+def test_ladder_reports_a_wrong_constant(monkeypatch, wrong):
+    lowering, raising = _in_domain(20)
+    if wrong == "normalization":
+        # N_n * (n + 1): the sides of every relation between two states now
+        # differ by (n + 1)/(m + 1); only the ground-state annihilation holds.
+        # Patched in every namespace, so that make_state, which the
+        # single-cell check reads, sees it too
+        def wrong_normalization(n, v):
+            c = normalization(n, v)
+            return None if c is None else c * (n + 1)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "morsealg":
+                if vars(module).get("normalization") is normalization:
+                    monkeypatch.setattr(module, "normalization", wrong_normalization)
+        expected = lowering | raising
+    else:
+        # v/2 in the raising bracket read as (v + 1)/2: K+ psi_n gains a
+        # nonzero multiple of psi_n on every in-domain cell (s >= 3/2)
+        ladder = operators._ladder
+        monkeypatch.setattr(
+            operators, "_ladder", lambda sigma, s, v: ladder(sigma, s, v + (sigma > 0))
+        )
+        expected = raising
+    make_state.cache_clear()
+    try:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_run(["ladder", "--v-max", "20"]) == 1
+            assert cli_run(["ladder", "--n", "2", "--v", "9"]) == 1
+        lines = out.getvalue().splitlines()
+        assert {line for line in lines if line.startswith("FAIL ")} == expected
+        assert f"fails: {len(expected)}" in lines
+    finally:
+        make_state.cache_clear()
 
 
 _states = weighted_functions().filter(lambda f: not f.is_zero)
