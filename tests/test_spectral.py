@@ -265,11 +265,10 @@ def test_ladder_sweep_builds_and_differentiates_each_state_once():
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_run(["ladder", "--v-max", str(v_max)]) == 0
     cells = [(n, v) for v in range(v_max + 1) for n in range(v // 2 + 2)]
-    assert norms.call_count == sum(v // 2 + 2 for v in range(v_max + 1))
     assert sorted(c.args for c in norms.call_args_list) == sorted(cells)
     normalizable = [(n, v) for n, v in cells if v >= 2 * n + 2]
-    assert polys.call_count == d.call_count == len(normalizable)
     assert sorted(c.args[0] for c in polys.call_args_list) == sorted(n for n, _ in normalizable)
+    assert d.call_count == len(normalizable)
     assert make_state.cache_info().currsize == 0
 
 
@@ -305,7 +304,7 @@ def test_ladder_reports_a_wrong_constant(monkeypatch, wrong):
         # nonzero multiple of psi_n on every in-domain cell (s >= 3/2)
         ladder = operators._ladder
         monkeypatch.setattr(
-            operators, "_ladder", lambda sigma, s, v: ladder(sigma, s, v + (sigma > 0))
+            operators, "_ladder", lambda sigma, s, v: ladder(sigma, s, v + 1 if sigma > 0 else v)
         )
         expected = raising
     make_state.cache_clear()
