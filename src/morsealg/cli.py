@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
     p.add_argument("--out", default="report.json", help="output file path")
-    p.add_argument("--threads", type=int, default=None, help="worker processes")
+    p.add_argument("--threads", type=int, default=None, help="processes, this one included")
 
     p = sub.add_parser("plot", help="render a scatter plot from a report file")
     p.add_argument("--in", dest="in_path", required=True, help="report file to read")

@@ -166,24 +166,50 @@ def _usable_cpus() -> int | None:
         return os.cpu_count()
 
 
+def _deal(n_max: int, shares: int) -> list[list[int]]:
+    """Deal the rows 0..n_max into `shares` lists of about equal cost.
+
+    A row costs more as n grows, so the rows go out in snake order: forward
+    in even rounds, backward in odd ones (two shares get 0, 3, 4, 7, ... and
+    1, 2, 5, 6, ...).  Each share lists its rows in increasing order.
+    """
+    dealt: list[list[int]] = [[] for _ in range(shares)]
+    for n in range(n_max + 1):
+        turn, seat = divmod(n, shares)
+        dealt[shares - 1 - seat if turn % 2 else seat].append(n)
+    return dealt
+
+
+def _rows(ns: Sequence[int], v_max: int) -> list[CellRecord]:
+    """The cells of the rows ns, row by row, each in increasing v."""
+    return [compute_cell(n, v) for n in ns for v in range(v_max + 1)]
+
+
 def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
     """Compute every cell of the [0, n_max] x [0, v_max] grid.
 
-    workers > 1 spreads rows of constant n over that many processes, but
-    never more than there are rows or CPUs this process may use; the result
-    is identical either way because cells are reassembled in (n, v) order.
+    workers > 1 runs the scan on that many processes, this one included,
+    but never more than there are rows or CPUs this process may use.  The
+    rows are dealt into one share per process; this process computes the
+    first share while workers - 1 forked ones compute the others.  The
+    result is identical either way because cells are reassembled in (n, v)
+    order.
     """
     if n_max < 0 or v_max < 0:
         raise ValueError("n_max and v_max must be non-negative")
     workers = min(workers or 1, n_max + 1, _usable_cpus() or 1)
-    # row-major cells; a pool task is one row of constant n
-    ns = [n for n in range(n_max + 1) for _ in range(v_max + 1)]
-    vs = list(range(v_max + 1)) * (n_max + 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells_t = tuple(pool.map(compute_cell, ns, vs, chunksize=v_max + 1))
+        mine, *theirs = _deal(n_max, workers)
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            # map submits every share before this process starts on its own
+            shares = pool.map(_rows, theirs, [v_max] * len(theirs))
+            cells = _rows(mine, v_max)
+            for share in shares:
+                cells += share
+        # every share is already in (n, v) order, which sorting merges
+        cells_t = tuple(sorted(cells, key=operator.itemgetter(0, 1)))
     else:
-        cells_t = tuple(map(compute_cell, ns, vs))
+        cells_t = tuple(_rows(range(n_max + 1), v_max))
     return ScanReport(n_max, v_max, cells_t, summarize(cells_t))
 
 

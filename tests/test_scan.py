@@ -7,7 +7,10 @@ import functools
 import importlib
 import json
 import lzma
+import multiprocessing
+import os
 import random
+import signal
 import tempfile
 import time
 from fractions import Fraction
@@ -231,19 +234,20 @@ class _SerialPool:
 
 
 @pytest.mark.parametrize(
-    "workers, n_max, cpus, started",
+    "workers, n_max, cpus, processes",
     [
         (100_000, 3, 8, 4),  # capped by the rows
         (100_000, 10, 2, 2),  # capped by the CPUs
         (3, 10, 8, 3),
-        (100_000, 10, None, None),  # CPU count unknown: one worker, no pool
+        (100_000, 10, None, None),  # CPU count unknown: serial, no pool
         (5, 0, 8, None),  # a single row runs serially
     ],
 )
-def test_pool_size_is_capped_before_any_process_starts(monkeypatch, workers, n_max, cpus, started):
+def test_pool_size_is_capped_before_any_process_starts(monkeypatch, workers, n_max, cpus, processes):
     # cpus is the size of the process's affinity mask, which the host count
     # (64 here) must not override; an unknown count means a platform with no
-    # affinity call and no known host count
+    # affinity call and no known host count; the caller is one of the
+    # processes, so the pool forks one fewer
     monkeypatch.setattr(scan_module, "ProcessPoolExecutor", _SerialPool)
     if cpus is None:
         monkeypatch.delattr(scan_module.os, "sched_getaffinity", raising=False)
@@ -255,19 +259,87 @@ def test_pool_size_is_capped_before_any_process_starts(monkeypatch, workers, n_m
         monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 64)
     _SerialPool.sizes = []
     report = scan(n_max, 2, workers=workers)
-    assert _SerialPool.sizes == ([] if started is None else [started])
+    assert _SerialPool.sizes == ([] if processes is None else [processes - 1])
     assert report == scan(n_max, 2)
 
 
-@pytest.mark.parametrize("cpus, started", [(2, 2), (8, 3)])
-def test_pool_size_falls_back_to_the_host_cpu_count(monkeypatch, cpus, started):
-    # a platform without an affinity call caps the pool by the host's count
+@pytest.mark.parametrize("cpus, processes", [(2, 2), (8, 3)])
+def test_pool_size_falls_back_to_the_host_cpu_count(monkeypatch, cpus, processes):
+    # a platform without an affinity call caps the processes by the host's
+    # count; the pool forks all but the caller
     monkeypatch.setattr(scan_module, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.delattr(scan_module.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(scan_module.os, "cpu_count", lambda: cpus)
     _SerialPool.sizes = []
     scan(10, 2, workers=3)
-    assert _SerialPool.sizes == [started]
+    assert _SerialPool.sizes == [processes - 1]
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3, 4])
+def test_rows_are_dealt_into_shares_of_about_equal_cost(shares):
+    # a row costs more as n grows, so a contiguous split would leave one
+    # share far more than its mean; snake order keeps each share's sum of n
+    # within n_max + 1 of it (at n_max = 30, two shares sum to 217 and 248)
+    for n_max in range(41):
+        dealt = scan_module._deal(n_max, shares)
+        assert len(dealt) == shares
+        assert sorted(n for share in dealt for n in share) == list(range(n_max + 1))
+        assert all(share == sorted(share) for share in dealt)
+        sizes = [len(share) for share in dealt]
+        assert max(sizes) - min(sizes) <= 1, (n_max, sizes)
+        sums = [sum(share) for share in dealt]
+        mean = sum(sums) / shares
+        assert all(abs(total - mean) <= n_max + 1 for total in sums), (n_max, sums)
+    assert [sum(share) for share in scan_module._deal(30, 2)] == [217, 248]
+
+
+def test_the_caller_computes_the_first_share(monkeypatch):
+    # with the real pool: a forked child inherits the wrapper but appends to
+    # its own copy of the list, and a spawned one imports compute_cell
+    # unwrapped, so `computed` holds the cells of this process only
+    monkeypatch.setattr(scan_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    computed = []
+    compute = scan_module.compute_cell
+
+    def recording(n, v):
+        computed.append((n, v))
+        return compute(n, v)
+
+    monkeypatch.setattr(scan_module, "compute_cell", recording)
+    report = scan(5, 3, workers=2)
+    assert computed == [(n, v) for n in (0, 3, 4) for v in range(4)]
+    monkeypatch.undo()
+    assert report == scan(5, 3)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only a forked child inherits the patched compute_cell",
+)
+def test_a_failure_in_a_child_share_is_raised_by_scan(monkeypatch):
+    monkeypatch.setattr(scan_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller = os.getpid()
+    compute = scan_module.compute_cell
+
+    def failing_in_children(n, v):
+        if os.getpid() != caller:
+            raise ArithmeticError(f"cell ({n}, {v})")
+        return compute(n, v)
+
+    monkeypatch.setattr(scan_module, "compute_cell", failing_in_children)
+
+    def timed_out(signum, frame):
+        raise TimeoutError("scan did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        # the child's share starts at row 1
+        with pytest.raises(ArithmeticError, match=r"^cell \(1, 0\)$"):
+            scan(5, 3, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_json_round_trip(tmp_path):
