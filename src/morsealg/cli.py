@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .model import NonBoundError, PhysicalParams, make_state, physical_map
+from .model import NonBoundError, PhysicalParams, normalization, physical_map, wavefunction
 from .operators import (
     UndefinedOperatorError,
     k0_diff,
@@ -143,9 +143,9 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     print(f"all_equal: {str(cell.all_equal).lower()}")
     if not args.verbose:
         return 0
-    state = make_state(n, v)
-    s, norm = state.wavefunction.s, state.normalization
-    print(f"state: {state.wavefunction}")
+    f, norm = wavefunction(n, v), normalization(n, v)
+    s = f.s
+    print(f"state: {f}")
     print(f"normalization: {norm if norm is not None else 'undefined'}")
     print(f"shifted commutator (closed form): {k0_prime_simplified(s, v)}")
     try:
@@ -155,7 +155,7 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     composed = eigenvalue_composed(n, v)
     print(f"composed action: {composed.value} ({composed.status.value})")
     print(f"diagonal operator: {k0_diff(s, n)}")
-    applied = schrodinger_diff(s, v).apply(state.wavefunction)
+    applied = schrodinger_diff(s, v).apply(f)
     print(f"stationary operator action: {'zero function' if applied.is_zero else applied}")
     if s != 0:
         print(f"unshifted commutator 1/y^2 coefficient: {naive_commutator_coefficient(s)}")

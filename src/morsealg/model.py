@@ -1,10 +1,10 @@
 """Morse-oscillator model data: the weight exponent, Laguerre polynomials, states.
 
 The bound states live on an integer grid (n, v) with derived weight exponent
-s = (v - 2n - 1)/2.  States are kept unnormalized by default
-(``wavefunction``); ``make_state`` attaches the normalization constant
-separately and only where it is defined, because every eigenvalue
-computation cancels it anyway.
+s = (v - 2n - 1)/2.  Commands build states unnormalized (``wavefunction``)
+and compute ``normalization`` only where they need it, since every eigenvalue
+computation cancels it; ``make_state`` pairs the two in a cache that no
+command reads, only the tests and the benchmark harness.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ def wavefunction(n: int, v: int) -> WeightedFunction:
 def make_state(n: int, v: int) -> MorseState:
     """The grid state at (n, v), with normalization attached when defined.
 
-    Cached for the single-cell callers that read a normalization constant
-    or a neighbouring state: ``verify_lowering``, ``verify_raising``, the
-    composed eigenvalue and ``cell --verbose``.
+    Cached without bound, and read by no command: the tests and the
+    benchmark harness use it, and the harness checks that the cache is
+    empty before each timed run and reports its hits and misses.
     """
     return MorseState(wavefunction(n, v), normalization(n, v))
 
@@ -131,7 +131,8 @@ def physical_map(params: PhysicalParams, n: int = 0) -> tuple[float, float, floa
         raise ValueError("physical constants must be positive and finite")
     if n < 0:
         raise ValueError("n must be non-negative")
-    v = math.sqrt(8.0 * params.mass * params.v0) / (params.beta * params.hbar)
+    scale = params.beta * params.hbar  # 0.0 when the product underflows
+    v = math.sqrt(8.0 * params.mass * params.v0) / scale if scale else math.inf
     if not math.isfinite(v):
         raise ValueError(f"v is not finite (v = {v!r})")
     # compares the int n with the float v exactly, so a huge n is never
@@ -139,7 +140,7 @@ def physical_map(params: PhysicalParams, n: int = 0) -> tuple[float, float, floa
     if 2 * n + 1 > v:
         raise NonBoundError(f"level n={n} is not bound (v = {v:.6g} < 2n + 1)")
     s = (v - 2 * n - 1) / 2
-    e = -((params.beta * params.hbar * s) ** 2) / (2.0 * params.mass)
+    e = -((scale * s) ** 2) / (2.0 * params.mass)
     if not math.isfinite(e):
         raise ValueError(f"E is not finite (s = {s!r}, E = {e!r})")
     return v, s, e

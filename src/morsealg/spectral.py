@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .functions import Comparison, WeightedFunction
-from .model import make_state, normalization, wavefunction
+from .model import normalization, wavefunction
 from .operators import (
     DiffOp,
     UndefinedOperatorError,
@@ -62,8 +62,10 @@ _NOT_EIGEN = EigenResult(ZERO, EigenStatus.NOT_EIGENFUNCTION)
 _UNDEFINED = EigenResult(ZERO, EigenStatus.OPERATOR_UNDEFINED)
 _PROPER_ZERO = EigenResult(ZERO, EigenStatus.PROPER)
 
-# j -> (jet of the state psi_j, its normalization constant N_j or None)
-_StateLookup = Callable[[int], tuple[Sequence[WeightedFunction], RadicalScalar | None]]
+# psi_j's jet (psi_j, psi_j'), N_j and sqrt(j(v - j)), or None where N_j is
+# undefined; a column maps j to its entry, by list index or dict key
+_Entry = tuple[tuple[WeightedFunction, ...], RadicalScalar, RadicalScalar] | None
+_Column = Sequence[_Entry] | dict[int, _Entry]
 
 
 def extract_eigenvalue(result: WeightedFunction, state: WeightedFunction) -> EigenResult:
@@ -161,65 +163,60 @@ def eigenvalue_composed(n: int, v: int) -> EigenResult:
     OperatorUndefined where a constituent ladder prefactor divides by zero
     (s in {-1, 0, 1}).
     """
-    state = make_state(n, v)
+    f = wavefunction(n, v)
     try:
-        op = k0_prime_composed(state.wavefunction.s, v)
+        op = k0_prime_composed(f.s, v)
     except UndefinedOperatorError:
         return _UNDEFINED
-    return _action(op, (state.wavefunction,))
+    return _action(op, (f,))
 
 
-def _ladder_relation(sigma: int, n: int, v: int, state: _StateLookup) -> LadderOutcome:
+def _entry(j: int, v: int) -> _Entry:
+    """psi_j's column entry: its jet (psi_j, psi_j'), N_j and sqrt(j(v - j)),
+    or None, without building psi_j, where N_j is undefined."""
+    norm = normalization(j, v)
+    if norm is None:
+        return None
+    return wavefunction(j, v).jet(1), norm, sqrt_of_rational(Fraction(j * (v - j)))
+
+
+def _ladder_relation(sigma: int, n: int, v: int, column: _Column) -> LadderOutcome:
     """Check N_n * K psi_n = sqrt(k(v-k)) * N_m * psi_m, m = n + sigma, k = max(n, m).
 
     K is the lowering operator for sigma = -1 and the raising one for
-    sigma = +1.  state(j) gives psi_j's jet (psi_j, possibly followed by its
-    derivatives, which K then uses instead of taking them again) and N_j;
-    it is asked for m only once N_n exists.  In domain when both
-    normalization constants exist; m = -1 instead requires K to annihilate
-    the ground state.
+    sigma = +1; it is applied to psi_n's jet, and the root is the one kept
+    in the upper state's entry, column[k].  In domain when both entries
+    exist; m = -1 instead requires K to annihilate the ground state.
     """
-    jet, norm = state(n)
-    if norm is None:
+    entry = column[n]
+    if entry is None:
         return LadderOutcome.OUT_OF_DOMAIN
+    jet, norm, _ = entry
     m = n + sigma
-    target, norm_m = state(m) if m >= 0 else (None, None)
-    if m >= 0 and norm_m is None:
+    target = column[m] if m >= 0 else None
+    if m >= 0 and target is None:
         return LadderOutcome.OUT_OF_DOMAIN
     applied = (k_plus if sigma > 0 else k_minus)(jet[0].s, v).apply(jet)
     if m < 0:
         return LadderOutcome.HOLDS if applied.is_zero else LadderOutcome.FAILS
-    k = max(n, m)
-    factor = sqrt_of_rational(Fraction(k * (v - k))) * norm_m
-    cmp = (applied * norm).compare(target[0] * factor)
+    target_jet, norm_m, _ = target
+    factor = column[max(n, m)][2] * norm_m
+    cmp = (applied * norm).compare(target_jet[0] * factor)
     return LadderOutcome.HOLDS if cmp is Comparison.EQUAL else LadderOutcome.FAILS
-
-
-def _cached_states(v: int) -> _StateLookup:
-    """The state lookup of _ladder_relation for column v, through make_state."""
-
-    def state(j: int):
-        cached = make_state(j, v)
-        return (cached.wavefunction,), cached.normalization
-
-    return state
 
 
 def ladder_column(v: int) -> list[tuple[LadderOutcome, LadderOutcome]]:
     """(lowering, raising) at (n, v) for n = 0 .. v // 2, in that order.
 
-    normalization(n, v) is computed once for each n <= v // 2 + 1, and each
-    state whose constant exists is built once, outside the make_state
-    cache, with its first derivative; the lowering and the raising relation
-    both apply their operators to that jet.  The states go with the column.
+    The column holds one entry for each n <= v // 2 + 1: normalization(n, v)
+    is computed once, and each state whose constant exists is built once,
+    outside the make_state cache, with its first derivative; the lowering
+    and the raising relation both apply their operators to that jet.  The
+    states go with the column.
     """
-    column = []
-    for n in range(v // 2 + 2):
-        norm = normalization(n, v)
-        column.append((None if norm is None else wavefunction(n, v).jet(1), norm))
-    state = column.__getitem__
+    column = [_entry(n, v) for n in range(v // 2 + 2)]
     return [
-        (_ladder_relation(-1, n, v, state), _ladder_relation(1, n, v, state))
+        (_ladder_relation(-1, n, v, column), _ladder_relation(1, n, v, column))
         for n in range(v // 2 + 1)
     ]
 
@@ -229,13 +226,15 @@ def verify_lowering(n: int, v: int) -> LadderOutcome:
 
     In domain when both normalization constants exist (v >= 2n + 2); the
     n = 0 branch instead requires exact annihilation of the ground state.
+    Only the entries of psi_n and psi_{n-1} are built.
     """
-    return _ladder_relation(-1, n, v, _cached_states(v))
+    return _ladder_relation(-1, n, v, {j: _entry(j, v) for j in {n, max(n - 1, 0)}})
 
 
 def verify_raising(n: int, v: int) -> LadderOutcome:
     """Check N_n * (raising op) psi_n = sqrt((n+1)(v-n-1)) * N_{n+1} * psi_{n+1}.
 
     In domain when both normalization constants exist (v >= 2n + 4).
+    Only the entries of psi_n and psi_{n+1} are built.
     """
-    return _ladder_relation(1, n, v, _cached_states(v))
+    return _ladder_relation(1, n, v, {j: _entry(j, v) for j in (n, n + 1)})

@@ -225,6 +225,33 @@ def test_cell_rejects_negative():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ladder", "--n", "-1", "--v", "3"], "--n"),
+        (["ladder", "--v-max", "-1"], "--v-max"),
+        (["verify", "--n-max", "-1"], "--n-max"),
+        (["verify", "--v-max", "-1"], "--v-max"),
+    ],
+    ids=["ladder-n", "ladder-v-max", "verify-n-max", "verify-v-max"],
+)
+def test_negative_bounds_are_usage_errors(argv, flag):
+    code, out, err = _run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err
+
+
+def test_plot_rejects_a_small_size_before_reading(tmp_path):
+    svg = tmp_path / "x.svg"
+    code, out, err = _run(
+        ["plot", "--in", str(tmp_path / "nope.json"), "--mode", "sign", "--size", "199",
+         "--out", str(svg)]
+    )
+    assert code == 2 and out == ""
+    assert "--size" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ladder_single_cell():
     code, out, _ = _run(["ladder", "--n", "1", "--v", "4"])
     assert code == 0
@@ -295,6 +322,8 @@ def test_physical_rejects_bad_constants():
         ["--v0", "nan", "--beta", "1", "--mass", "1", "--hbar", "1"],
         ["--v0", "inf", "--beta", "1", "--mass", "1", "--hbar", "1"],
         ["--v0", "1e308", "--beta", "1e-308", "--mass", "1e308", "--hbar", "1"],
+        # beta * hbar underflows to 0.0
+        ["--v0", "1", "--beta", "1e-170", "--mass", "1", "--hbar", "1e-170"],
     ],
 )
 def test_physical_rejects_non_finite_values(constants):

@@ -200,6 +200,7 @@ def test_physical_map_rejects_bad_constants():
         (1.0, 1.0, math.inf, 1.0),
         (1.0, 1.0, 1.0, -math.inf),
         (1e308, 1e-308, 1e308, 1.0),  # finite constants, v overflows to inf
+        (1.0, 1e-170, 1.0, 1e-170),  # beta * hbar underflows to 0.0
     ],
 )
 def test_physical_map_rejects_non_finite_values(v0, beta, mass, hbar):

@@ -229,13 +229,23 @@ def test_ladder_checks_match_reference_and_normalize_once_per_state(monkeypatch)
         if name.partition(".")[0] == "morsealg":
             if vars(module).get("normalization") is normalization:
                 monkeypatch.setattr(module, "normalization", counted)
-    make_state.cache_clear()
     # v = 2n .. 2n + 3 and n = 0 are the out-of-domain and ground-state edges
     for v in range(71):
+        # every check of the column runs before the reference bodies, which
+        # fill make_state and normalize through it; each check computes the
+        # constants of its at most two states and leaves make_state empty
+        make_state.cache_clear()
+        got = []
         for n in range(v // 2 + 3):
-            assert verify_lowering(n, v) is _lowering_reference(n, v), (n, v)
-            assert verify_raising(n, v) is _raising_reference(n, v), (n, v)
-    assert calls == make_state.cache_info().misses
+            for check in (verify_lowering, verify_raising):
+                calls = 0
+                got.append(check(n, v))
+                assert calls <= 2, (check.__name__, n, v)
+        assert make_state.cache_info().currsize == 0, v
+        expected = []
+        for n in range(v // 2 + 3):
+            expected += [_lowering_reference(n, v), _raising_reference(n, v)]
+        assert got == expected, v
 
 
 @pytest.mark.parametrize("columns", [range(71), [101, 150]], ids=["v<=70", "v=101,150"])
@@ -272,6 +282,19 @@ def test_ladder_sweep_builds_and_differentiates_each_state_once():
     assert make_state.cache_info().currsize == 0
 
 
+def test_single_cell_paths_leave_make_state_empty():
+    # (3, 11) has both relations in domain and a defined composed operator;
+    # (0, 1) has s = 0, where it is undefined
+    make_state.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for n, v in ((3, 11), (0, 1)):
+            assert cli_run(["cell", "--n", str(n), "--v", str(v), "--verbose"]) == 0
+            assert cli_run(["ladder", "--n", str(n), "--v", str(v)]) == 0
+    assert eigenvalue_composed(3, 11).status is EigenStatus.PROPER
+    assert eigenvalue_composed(0, 1).status is EigenStatus.OPERATOR_UNDEFINED
+    assert make_state.cache_info().currsize == 0
+
+
 def _in_domain(v_max: int) -> tuple[set[str], set[str]]:
     """The lowering relations with n >= 1 and the raising relations whose
     two normalization constants exist, named as the sweep prints them."""
@@ -288,8 +311,9 @@ def test_ladder_reports_a_wrong_constant(monkeypatch, wrong):
     if wrong == "normalization":
         # N_n * (n + 1): the sides of every relation between two states now
         # differ by (n + 1)/(m + 1); only the ground-state annihilation holds.
-        # Patched in every namespace, so that make_state, which the
-        # single-cell check reads, sees it too
+        # Patched in every morsealg namespace that binds it, so that the
+        # sweep and the single-cell check both build their column entries
+        # with it
         def wrong_normalization(n, v):
             c = normalization(n, v)
             return None if c is None else c * (n + 1)
