@@ -8,7 +8,6 @@ SVG 1.1 text, byte-identical for identical reports and canvas sizes.
 from __future__ import annotations
 
 import functools
-from xml.sax.saxutils import escape
 
 from .operators import OpClass
 from .scan import CellRecord, ScanReport, SignClass
@@ -120,9 +119,10 @@ def render_plot(report: ScanReport, mode: str, path, size: int = 900) -> None:
     legend_y = 24.0
     for color, label in _LEGENDS[mode]:
         lines.append(f'<circle cx="{legend_x:.2f}" cy="{legend_y:.2f}" r="5.00" fill="{color}"/>')
+        text = label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
         lines.append(
             f'<text x="{legend_x + 10:.2f}" y="{legend_y + 4:.2f}" '
-            f'font-family="sans-serif" font-size="12">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="12">{text}</text>'
         )
         legend_x += 24 + 7 * len(label)
 

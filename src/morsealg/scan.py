@@ -169,15 +169,12 @@ def _usable_cpus() -> int | None:
 def _deal(n_max: int, shares: int) -> list[list[int]]:
     """Deal the rows 0..n_max into `shares` lists of about equal cost.
 
-    A row costs more as n grows, so the rows go out in snake order: forward
-    in even rounds, backward in odd ones (two shares get 0, 3, 4, 7, ... and
-    1, 2, 5, 6, ...).  Each share lists its rows in increasing order.
+    A row costs more as n grows, so the rows are dealt by stride: share i
+    takes rows i, i + shares, i + 2 * shares, ... (two shares get 0, 2, 4,
+    ... and 1, 3, 5, ...), which keeps each share's sum of n within n_max + 1
+    of the mean.  Each share lists its rows in increasing order.
     """
-    dealt: list[list[int]] = [[] for _ in range(shares)]
-    for n in range(n_max + 1):
-        turn, seat = divmod(n, shares)
-        dealt[shares - 1 - seat if turn % 2 else seat].append(n)
-    return dealt
+    return [list(range(i, n_max + 1, shares)) for i in range(shares)]
 
 
 def _rows(ns: Sequence[int], v_max: int) -> list[CellRecord]:

@@ -348,6 +348,26 @@ def test_module_invocation():
     assert "morsealg" in proc.stdout
 
 
+def test_importing_the_cli_loads_no_xml_or_http_stack():
+    # plot escapes its legend labels itself, so no command loads xml.sax and,
+    # through it, urllib.request, http.client, email and ssl; only the modules
+    # the import adds count, since a site .pth file may preload some
+    code = (
+        "import sys; before = set(sys.modules); import morsealg.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "morsealg.plot" in added
+    heavy = [
+        name
+        for name in added
+        if name.split(".")[0] in ("xml", "http", "email") or name in ("urllib.request", "ssl")
+    ]
+    assert heavy == []
+
+
 # (argv, golden stdout file, exit code), recorded before the two ladder
 # checks were folded into one body; the verify file before its checks shared
 # ladder operators within a column

@@ -278,8 +278,8 @@ def test_pool_size_falls_back_to_the_host_cpu_count(monkeypatch, cpus, processes
 @pytest.mark.parametrize("shares", [1, 2, 3, 4])
 def test_rows_are_dealt_into_shares_of_about_equal_cost(shares):
     # a row costs more as n grows, so a contiguous split would leave one
-    # share far more than its mean; snake order keeps each share's sum of n
-    # within n_max + 1 of it (at n_max = 30, two shares sum to 217 and 248)
+    # share far more than its mean; a stride deal keeps each share's sum of n
+    # within n_max + 1 of it (at n_max = 30, two shares sum to 240 and 225)
     for n_max in range(41):
         dealt = scan_module._deal(n_max, shares)
         assert len(dealt) == shares
@@ -290,7 +290,7 @@ def test_rows_are_dealt_into_shares_of_about_equal_cost(shares):
         sums = [sum(share) for share in dealt]
         mean = sum(sums) / shares
         assert all(abs(total - mean) <= n_max + 1 for total in sums), (n_max, sums)
-    assert [sum(share) for share in scan_module._deal(30, 2)] == [217, 248]
+    assert [sum(share) for share in scan_module._deal(30, 2)] == [240, 225]
 
 
 def test_the_caller_computes_the_first_share(monkeypatch):
@@ -307,7 +307,7 @@ def test_the_caller_computes_the_first_share(monkeypatch):
 
     monkeypatch.setattr(scan_module, "compute_cell", recording)
     report = scan(5, 3, workers=2)
-    assert computed == [(n, v) for n in (0, 3, 4) for v in range(4)]
+    assert computed == [(n, v) for n in (0, 2, 4) for v in range(4)]
     monkeypatch.undo()
     assert report == scan(5, 3)
 
