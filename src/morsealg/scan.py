@@ -2,7 +2,10 @@
 
 Every cell is computed exactly and independently; the report is always
 assembled in (n, v) order so identical inputs give identical files no matter
-how the work was scheduled.
+how the work was scheduled.  A scan on more than one process forks its
+shares with os.fork and reads each child's cells back, pickled, through a
+pipe (``_in_processes``), not through concurrent.futures, whose import with
+multiprocessing every command would pay for at start-up.
 
 A cell's row is defined once.  ``_record`` derives every field from (n, v)
 and the two computed eigenvalues, ``_row`` lays the fields out in
@@ -21,10 +24,9 @@ import json
 import operator
 import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple, TypeVar
 
 from .functions import LaurentPoly
 from .model import weight_exponent
@@ -177,9 +179,77 @@ def _deal(n_max: int, shares: int) -> list[list[int]]:
     return [list(range(i, n_max + 1, shares)) for i in range(shares)]
 
 
+_Share = TypeVar("_Share")
+_Result = TypeVar("_Result")
+
+
 def _rows(ns: Sequence[int], v_max: int) -> list[CellRecord]:
     """The cells of the rows ns, row by row, each in increasing v."""
     return [compute_cell(n, v) for n in ns for v in range(v_max + 1)]
+
+
+def _in_processes(fn: Callable[[_Share], _Result], shares: Sequence[_Share]) -> list[_Result]:
+    """fn(share) for each share, in order: the first here, each other in a forked child.
+
+    A child sends back (True, result) or (False, exception), pickled into
+    its own pipe, and leaves with os._exit, so no stdio buffer or atexit
+    handler of this process runs twice.  This process closes each pipe's
+    write end before the next fork, computes its own share, then reads and
+    reaps the children in share order: a child's exception is raised here,
+    and a child that sends nothing raises RuntimeError with its wait status.
+    Every child is reaped before this returns or raises, so its CPU time and
+    peak RSS count in RUSAGE_CHILDREN.  Where there is no fork, every share
+    runs here.
+    """
+    if not hasattr(os, "fork"):
+        return [fn(share) for share in shares]
+    import pickle
+    import signal
+
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end), not yet reaped
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "wb") as out:
+                        try:
+                            sent = (True, fn(share))
+                        except BaseException as exc:
+                            sent = (False, exc)
+                        pickle.dump(sent, out, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [fn(shares[0])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                try:
+                    ok, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError) as exc:  # nothing or a cut message
+                    ok, value = None, exc
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if ok is None:
+                raise RuntimeError(
+                    f"share {len(results)} sent no result: its process ended with wait status "
+                    f"{status} (exit code {os.waitstatus_to_exitcode(status)})"
+                ) from value
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
@@ -188,26 +258,21 @@ def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
     workers > 1 runs the scan on that many processes, this one included,
     but never more than there are rows or CPUs this process may use.  The
     rows are dealt into one share per process; this process computes the
-    first share while workers - 1 forked ones compute the others.  The
-    result is identical either way because cells are reassembled in (n, v)
-    order.
+    first share while workers - 1 children forked with os.fork compute the
+    others (where the platform has no fork, this process computes them all
+    in turn).  The result is identical either way because cells are
+    reassembled in (n, v) order.
     """
     if n_max < 0 or v_max < 0:
         raise ValueError("n_max and v_max must be non-negative")
     workers = min(workers or 1, n_max + 1, _usable_cpus() or 1)
     if workers > 1:
-        mine, *theirs = _deal(n_max, workers)
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            # map submits every share before this process starts on its own
-            shares = pool.map(_rows, theirs, [v_max] * len(theirs))
-            cells = _rows(mine, v_max)
-            for share in shares:
-                cells += share
+        shares = _in_processes(functools.partial(_rows, v_max=v_max), _deal(n_max, workers))
         # every share is already in (n, v) order, which sorting merges
-        cells_t = tuple(sorted(cells, key=operator.itemgetter(0, 1)))
+        cells = tuple(sorted([c for share in shares for c in share], key=operator.itemgetter(0, 1)))
     else:
-        cells_t = tuple(_rows(range(n_max + 1), v_max))
-    return ScanReport(n_max, v_max, cells_t, summarize(cells_t))
+        cells = tuple(_rows(range(n_max + 1), v_max))
+    return ScanReport(n_max, v_max, cells, summarize(cells))
 
 
 _COLUMNS = tuple(CSV_HEADER.split(","))

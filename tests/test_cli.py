@@ -348,10 +348,9 @@ def test_module_invocation():
     assert "morsealg" in proc.stdout
 
 
-def test_importing_the_cli_loads_no_xml_or_http_stack():
-    # plot escapes its legend labels itself, so no command loads xml.sax and,
-    # through it, urllib.request, http.client, email and ssl; only the modules
-    # the import adds count, since a site .pth file may preload some
+def _modules_added_by_importing_the_cli():
+    # only the modules the import adds count, since a site .pth file may
+    # preload some
     code = (
         "import sys; before = set(sys.modules); import morsealg.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -360,10 +359,28 @@ def test_importing_the_cli_loads_no_xml_or_http_stack():
     assert proc.returncode == 0, proc.stderr
     added = proc.stdout.split()
     assert "morsealg.plot" in added
+    assert "morsealg.scan" in added
+    return added
+
+
+def test_importing_the_cli_loads_no_xml_or_http_stack():
+    # plot escapes its legend labels itself, so no command loads xml.sax and,
+    # through it, urllib.request, http.client, email and ssl
     heavy = [
         name
-        for name in added
+        for name in _modules_added_by_importing_the_cli()
         if name.split(".")[0] in ("xml", "http", "email") or name in ("urllib.request", "ssl")
+    ]
+    assert heavy == []
+
+
+def test_importing_the_cli_loads_no_process_pool_or_pickle():
+    # scan forks its shares itself and imports pickle only when it forks, so
+    # no command loads concurrent.futures, multiprocessing or pickle
+    heavy = [
+        name
+        for name in _modules_added_by_importing_the_cli()
+        if name.split(".")[0] in ("concurrent", "multiprocessing", "pickle")
     ]
     assert heavy == []
 

@@ -7,7 +7,6 @@ import functools
 import importlib
 import json
 import lzma
-import multiprocessing
 import os
 import random
 import signal
@@ -215,22 +214,17 @@ def test_workers_produce_identical_report():
     assert scan(4, 7, workers=3) == scan(4, 7)
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+@pytest.fixture
+def forks(monkeypatch):
+    """Runs every share in-process; lists how many children each pooled scan would fork."""
+    counts: list[int] = []
 
-    sizes: list[int] = []
+    def in_process(fn, shares):
+        counts.append(len(shares) - 1)
+        return [fn(share) for share in shares]
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
+    monkeypatch.setattr(scan_module, "_in_processes", in_process)
+    return counts
 
 
 @pytest.mark.parametrize(
@@ -243,12 +237,13 @@ class _SerialPool:
         (5, 0, 8, None),  # a single row runs serially
     ],
 )
-def test_pool_size_is_capped_before_any_process_starts(monkeypatch, workers, n_max, cpus, processes):
+def test_pool_size_is_capped_before_any_process_starts(
+    monkeypatch, forks, workers, n_max, cpus, processes
+):
     # cpus is the size of the process's affinity mask, which the host count
     # (64 here) must not override; an unknown count means a platform with no
     # affinity call and no known host count; the caller is one of the
     # processes, so the pool forks one fewer
-    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", _SerialPool)
     if cpus is None:
         monkeypatch.delattr(scan_module.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(scan_module.os, "cpu_count", lambda: None)
@@ -257,22 +252,19 @@ def test_pool_size_is_capped_before_any_process_starts(monkeypatch, workers, n_m
             scan_module.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
         )
         monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 64)
-    _SerialPool.sizes = []
     report = scan(n_max, 2, workers=workers)
-    assert _SerialPool.sizes == ([] if processes is None else [processes - 1])
+    assert forks == ([] if processes is None else [processes - 1])
     assert report == scan(n_max, 2)
 
 
 @pytest.mark.parametrize("cpus, processes", [(2, 2), (8, 3)])
-def test_pool_size_falls_back_to_the_host_cpu_count(monkeypatch, cpus, processes):
+def test_pool_size_falls_back_to_the_host_cpu_count(monkeypatch, forks, cpus, processes):
     # a platform without an affinity call caps the processes by the host's
     # count; the pool forks all but the caller
-    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.delattr(scan_module.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(scan_module.os, "cpu_count", lambda: cpus)
-    _SerialPool.sizes = []
     scan(10, 2, workers=3)
-    assert _SerialPool.sizes == [processes - 1]
+    assert forks == [processes - 1]
 
 
 @pytest.mark.parametrize("shares", [1, 2, 3, 4])
@@ -295,8 +287,8 @@ def test_rows_are_dealt_into_shares_of_about_equal_cost(shares):
 
 def test_the_caller_computes_the_first_share(monkeypatch):
     # with the real pool: a forked child inherits the wrapper but appends to
-    # its own copy of the list, and a spawned one imports compute_cell
-    # unwrapped, so `computed` holds the cells of this process only
+    # its own copy of the list, so `computed` holds the cells of this
+    # process only
     monkeypatch.setattr(scan_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     computed = []
     compute = scan_module.compute_cell
@@ -312,34 +304,120 @@ def test_the_caller_computes_the_first_share(monkeypatch):
     assert report == scan(5, 3)
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="only a forked child inherits the patched compute_cell",
-)
-def test_a_failure_in_a_child_share_is_raised_by_scan(monkeypatch):
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block runs longer than seconds."""
+
+    def timed_out(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_process():
+    # every child this process forked has been reaped: none running, no zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _patch_in_children(monkeypatch, in_child=None, in_caller=None):
+    """Two processes; each cell first runs in_child in a forked child, in_caller here."""
     monkeypatch.setattr(scan_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     caller = os.getpid()
     compute = scan_module.compute_cell
 
-    def failing_in_children(n, v):
-        if os.getpid() != caller:
-            raise ArithmeticError(f"cell ({n}, {v})")
+    def patched(n, v):
+        hook = in_caller if os.getpid() == caller else in_child
+        if hook is not None:
+            hook(n, v)
         return compute(n, v)
 
-    monkeypatch.setattr(scan_module, "compute_cell", failing_in_children)
+    monkeypatch.setattr(scan_module, "compute_cell", patched)
 
-    def timed_out(signum, frame):
-        raise TimeoutError("scan did not return within 60 s")
 
-    previous = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(60)
-    try:
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="only a forked child inherits the patch")
+def test_a_failure_in_a_child_share_is_raised_by_scan(monkeypatch):
+    def failing(n, v):
+        raise ArithmeticError(f"cell ({n}, {v})")
+
+    _patch_in_children(monkeypatch, failing)
+    with _deadline(60):
         # the child's share starts at row 1
         with pytest.raises(ArithmeticError, match=r"^cell \(1, 0\)$"):
             scan(5, 3, workers=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_process()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="only a forked child inherits the patch")
+def test_a_child_that_dies_without_a_result_fails_loudly(monkeypatch):
+    _patch_in_children(monkeypatch, lambda n, v: os._exit(3))
+    with _deadline(60):
+        no_result = r"^share 1 sent no result: .* wait status \d+ \(exit code 3\)$"
+        with pytest.raises(RuntimeError, match=no_result):
+            scan(5, 3, workers=2)
+    _assert_no_child_process()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs a forked child")
+def test_a_failure_in_the_callers_share_propagates_unchanged(monkeypatch):
+    # the child may still be computing when the caller fails; it is killed
+    # and reaped before scan raises
+    raised = []
+
+    def failing(n, v):
+        raised.append(ArithmeticError(f"cell ({n}, {v})"))
+        raise raised[-1]
+
+    _patch_in_children(monkeypatch, in_caller=failing)
+    with _deadline(60):
+        with pytest.raises(ArithmeticError, match=r"^cell \(0, 0\)$") as excinfo:
+            scan(5, 3, workers=2)
+    assert excinfo.value is raised[0]
+    _assert_no_child_process()
+
+
+def test_without_fork_the_shares_run_serially(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert scan(4, 7, workers=3) == scan(4, 7)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked children")
+def test_two_children_at_once(monkeypatch):
+    # the affinity mask of 4 CPUs lets workers=3 fork two children, whose
+    # pipes are open at the same time
+    cpus = {0, 1, 2, 3}
+    monkeypatch.setattr(scan_module.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    with _deadline(60):
+        report = scan(6, 5, workers=3)
+    assert len(set(forked)) == 2
+    _assert_no_child_process()
+    monkeypatch.undo()
+    assert report == scan(6, 5)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked children")
+def test_results_larger_than_a_pipe_buffer_arrive_in_share_order():
+    # each child blocks on its full pipe until this process reads it
+    with _deadline(60):
+        sizes = [1, 1 << 20, 3 << 19]
+        assert scan_module._in_processes(bytes, sizes) == [bytes(k) for k in sizes]
+    _assert_no_child_process()
 
 
 def test_json_round_trip(tmp_path):
