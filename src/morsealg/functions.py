@@ -4,6 +4,10 @@ A polynomial is stored as integer numerators over one positive denominator,
 times one radical unit i^m * sqrt(r) shared by every coefficient, so all of
 its arithmetic runs on Python ints; ``coeff`` and ``items`` hand the
 coefficients out as exact :class:`~morsealg.scalars.RadicalScalar` values.
+No other module reads that integer form.  ``LaurentPoly._sum_of_products``
+is the one kernel that adds products of polynomials, with the one check of
+their radical units, and ``WeightedFunction._factor`` is the one
+proportionality test.
 The weight exp(-y/2)*y^s is never expanded: differentiation and
 multiplication by Laurent coefficients keep a function inside the family, so
 every operator application below stays exact.
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import _RATIONAL, ZERO, RadicalScalar, Unit, _rational, _unit_mul, accumulate
+from .scalars import _ONE, _RATIONAL, ZERO, RadicalScalar, Unit, _rational, _unit_mul, accumulate
 
 ScalarLike = RadicalScalar | Fraction | int
 
@@ -209,6 +213,34 @@ class LaurentPoly:
         out = {e - 1: c * e for e, c in self._num.items() if e}
         return LaurentPoly._reduced(out, self._den, self._unit)
 
+    @staticmethod
+    def _sum_of_products(terms: list[tuple[int, LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+        """The sum of m * a * g over terms (m, a, g), m a nonzero int.
+
+        Every product is added as integer numerators over the lcm of the
+        products' denominators, and the sum is reduced once.  Products with
+        different radical units raise ArithmeticError.
+        """
+        den = math.lcm(*[a._den * g._den for _, a, g in terms])
+        unit = None
+        out: dict[int, int] = {}
+        get = out.get
+        for m, a, g in terms:
+            k, u = _unit_mul(a._unit, g._unit)
+            if unit is None:
+                unit = u
+            elif u != unit:
+                raise ArithmeticError("cannot add polynomials with different radical units")
+            m *= k * (den // (a._den * g._den))
+            gn = g._num.items()
+            for e1, c1 in a._num.items():
+                c1 *= m
+                for e2, c2 in gn:
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
+        out = {e: c for e, c in out.items() if c}
+        return LaurentPoly._reduced(out, den, unit)
+
     def __str__(self) -> str:
         if not self._num:
             return "0"
@@ -293,18 +325,54 @@ class WeightedFunction:
 
     __rmul__ = __mul__
 
+    def _aligned(self, other: WeightedFunction) -> LaurentPoly | None:
+        """other's Laurent part at this function's weight, the integer weight
+        gap shifted into it; None where the gap is not an integer."""
+        d = other.s - self.s
+        if d.denominator != 1:
+            return None
+        return other.poly.shifted(int(d))
+
     def compare(self, other: WeightedFunction) -> Comparison:
         """Exact equality after shifting any integer weight gap into the poly."""
         if self.is_zero and other.is_zero:
             return Comparison.EQUAL
         if self.is_zero or other.is_zero:
             return Comparison.UNEQUAL
-        d = other.s - self.s
-        if d.denominator != 1:
+        p = self._aligned(other)
+        if p is None:
             return Comparison.INCOMPARABLE
-        if self.poly == other.poly.shifted(int(d)):
-            return Comparison.EQUAL
-        return Comparison.UNEQUAL
+        return Comparison.EQUAL if self.poly == p else Comparison.UNEQUAL
+
+    def _factor(self, other: WeightedFunction) -> RadicalScalar | None:
+        """The scalar c with other = c * self, both nonzero, or None.
+
+        Decided on the integer numerators: after alignment the two
+        polynomials must have the same exponents, and every numerator pair
+        must cross-multiply equal to the pair at this function's lowest
+        exponent.  The denominators and radical units are common factors,
+        so only a proportional pair pays for one scalar division.
+        """
+        rpoly = self._aligned(other)
+        if rpoly is None:
+            return None
+        spoly = self.poly
+        rnum, snum = rpoly._num, spoly._num
+        if rnum.keys() != snum.keys():
+            return None
+        base = min(snum)
+        rb, sb = rnum[base], snum[base]
+        # the base pair in lowest terms keeps one factor of each product small
+        g = math.gcd(rb, sb)
+        rb, sb = rb // g, sb // g
+        for e, c in snum.items():
+            if rnum[e] * sb != c * rb:
+                return None
+        # c = (rb / rden * runit) / (sb / sden * sunit); a common unit cancels
+        q = Fraction(rb * spoly._den, sb * rpoly._den)
+        if rpoly._unit == spoly._unit:
+            return RadicalScalar(q)
+        return RadicalScalar._raw(q, rpoly._unit) / RadicalScalar._raw(_ONE, spoly._unit)
 
     def __str__(self) -> str:
         return f"exp(-y/2) * y^({self.s}) * ({self.poly})"

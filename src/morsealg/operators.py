@@ -7,9 +7,10 @@ exact polynomial identities.
 
 Ladder-operator constructors fold their scalar radical prefactor directly
 into the coefficients; the radical cancellations of the parameter-shifted
-commutator then happen through ordinary multiplication.  Composition, the
-commutator and the composed shifted commutator are one Leibniz kernel that
-adds integer numerators over one denominator per derivative order.
+commutator then happen through ordinary multiplication.  Application,
+composition, the commutator and the composed shifted commutator only
+collect products of coefficients; ``LaurentPoly._sum_of_products`` adds
+them and checks their radical units.
 """
 
 from __future__ import annotations
@@ -135,10 +136,9 @@ class DiffOp:
 
         f is the function, or its jet (f, f', f'', ...) from
         WeightedFunction.jet, whose derivatives are used instead of taken
-        again; a jet shorter than the operator's order is extended.  Every
-        term a_k * f^(k) is added as integer numerators over one common
-        denominator and reduced once.  For f != 0 no term is zero, and terms
-        with different radical units raise ArithmeticError.
+        again; a jet shorter than the operator's order is extended.  The
+        terms a_k * f^(k) are added by LaurentPoly._sum_of_products, so
+        terms with different radical units raise ArithmeticError.
         """
         jet = [f] if isinstance(f, WeightedFunction) else list(f)
         s = jet[0].s
@@ -146,17 +146,8 @@ class DiffOp:
             return WeightedFunction(s, LaurentPoly.zero())
         while len(jet) <= self.max_order:
             jet.append(jet[-1].derivative())
-        terms = []
-        unit = None
-        for k, a in self._terms.items():
-            g = jet[k].poly
-            m, u = _unit_mul(a._unit, g._unit)
-            if unit is None:
-                unit = u
-            elif u != unit:
-                raise ArithmeticError("cannot add polynomials with different radical units")
-            terms.append((a._num, g._num, m, a._den * g._den))
-        return WeightedFunction(s, _sum_of_products(terms, unit))
+        terms = [(1, a, jet[k].poly) for k, a in self._terms.items()]
+        return WeightedFunction(s, LaurentPoly._sum_of_products(terms))
 
     def compose(self, other: DiffOp) -> DiffOp:
         """Exact composition self after other, by the Leibniz expansion."""
@@ -184,59 +175,28 @@ _ZERO_OP = DiffOp._raw({})
 _IDENTITY_OP = DiffOp._raw({0: LaurentPoly.one()})
 
 
-def _sum_of_products(terms: list[tuple[dict, dict, int, int]], unit: Unit) -> LaurentPoly:
-    """The polynomial sum of m * A * G / d * unit over terms (A, G, m, d).
-
-    A and G are integer numerators by exponent, m a nonzero integer and
-    d > 0.  Every product is added as integer numerators over the lcm of
-    the d, and the sum is reduced once.
-    """
-    den = math.lcm(*(d for *_, d in terms))
-    out: dict[int, int] = {}
-    get = out.get
-    for a, g, m, d in terms:
-        m *= den // d
-        gn = g.items()
-        for e1, c1 in a.items():
-            c1 *= m
-            for e2, c2 in gn:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-    out = {e: c for e, c in out.items() if c}
-    return LaurentPoly._reduced(out, den, unit)
-
-
 def _leibniz(pairs: list[tuple[int, DiffOp, DiffOp]], first: int = 0) -> DiffOp:
     """The sum of sign * (a after b) over pairs (sign, a, b), in normal form.
 
     By the Leibniz rule a_j d^j (b_k d^k) = sum_i C(j, i) a_j b_k^(i)
     d^(j - i + k); only the terms with i >= first are kept.  The terms of
-    one output order are added by _sum_of_products; terms of one order
-    with different radical units raise ArithmeticError.
+    one output order are added by LaurentPoly._sum_of_products; terms of
+    one order with different radical units raise ArithmeticError.
     """
     by_order: dict[int, list] = {}
-    units: dict[int, Unit] = {}
     for sign, a, b in pairs:
         top = a.max_order
         for k, bk in b._terms.items():
-            # b_k, b_k', ..., b_k^(top) as numerators over b_k's denominator,
-            # cut at the first zero derivative
-            ders = [bk._num]
-            while len(ders) <= top and (d := {e - 1: c * e for e, c in ders[-1].items() if e}):
+            # b_k, b_k', ..., b_k^(top), cut at the first zero derivative
+            ders = [bk]
+            while len(ders) <= top and (d := ders[-1].derivative()):
                 ders.append(d)
             for j, aj in a._terms.items():
-                m, unit = _unit_mul(aj._unit, bk._unit)
-                den = aj._den * bk._den
                 for i in range(first, min(j, len(ders) - 1) + 1):
-                    o = j - i + k
-                    if units.setdefault(o, unit) != unit:
-                        raise ArithmeticError("cannot add polynomials with different radical units")
-                    by_order.setdefault(o, []).append(
-                        (aj._num, ders[i], sign * m * math.comb(j, i), den)
-                    )
+                    by_order.setdefault(j - i + k, []).append((sign * math.comb(j, i), aj, ders[i]))
     out = {}
     for o, terms in by_order.items():
-        p = _sum_of_products(terms, units[o])
+        p = LaurentPoly._sum_of_products(terms)
         if p:
             out[o] = p
     return DiffOp._raw(out)

@@ -4,8 +4,7 @@ Every cell is computed exactly and independently; the report is always
 assembled in (n, v) order so identical inputs give identical files no matter
 how the work was scheduled.  A scan on more than one process forks its
 shares with os.fork and reads each child's cells back, pickled, through a
-pipe (``_in_processes``), not through concurrent.futures, whose import with
-multiprocessing every command would pay for at start-up.
+pipe (``_in_processes``).
 
 A cell's row is defined once.  ``_record`` derives every field from (n, v)
 and the two computed eigenvalues, ``_row`` lays the fields out in
@@ -183,9 +182,9 @@ _Share = TypeVar("_Share")
 _Result = TypeVar("_Result")
 
 
-def _rows(ns: Sequence[int], v_max: int) -> list[CellRecord]:
-    """The cells of the rows ns, row by row, each in increasing v."""
-    return [compute_cell(n, v) for n in ns for v in range(v_max + 1)]
+def _rows(ns: Sequence[int], v_max: int) -> list[list[CellRecord]]:
+    """The cells of the rows ns, one list per row, each in increasing v."""
+    return [[compute_cell(n, v) for v in range(v_max + 1)] for n in ns]
 
 
 def _in_processes(fn: Callable[[_Share], _Result], shares: Sequence[_Share]) -> list[_Result]:
@@ -198,10 +197,10 @@ def _in_processes(fn: Callable[[_Share], _Result], shares: Sequence[_Share]) -> 
     reaps the children in share order: a child's exception is raised here,
     and a child that sends nothing raises RuntimeError with its wait status.
     Every child is reaped before this returns or raises, so its CPU time and
-    peak RSS count in RUSAGE_CHILDREN.  Where there is no fork, every share
-    runs here.
+    peak RSS count in RUSAGE_CHILDREN.  With one share, or where there is
+    no fork, every share runs here and nothing more is imported.
     """
-    if not hasattr(os, "fork"):
+    if len(shares) == 1 or not hasattr(os, "fork"):
         return [fn(share) for share in shares]
     import pickle
     import signal
@@ -257,21 +256,17 @@ def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
 
     workers > 1 runs the scan on that many processes, this one included,
     but never more than there are rows or CPUs this process may use.  The
-    rows are dealt into one share per process; this process computes the
-    first share while workers - 1 children forked with os.fork compute the
+    rows are dealt by stride into one share per process; this process
+    computes the first share while children forked with os.fork compute the
     others (where the platform has no fork, this process computes them all
-    in turn).  The result is identical either way because cells are
-    reassembled in (n, v) order.
+    in turn).  Row n is row n // workers of share n % workers, so the cells
+    are reassembled in (n, v) order and the result is identical either way.
     """
     if n_max < 0 or v_max < 0:
         raise ValueError("n_max and v_max must be non-negative")
     workers = min(workers or 1, n_max + 1, _usable_cpus() or 1)
-    if workers > 1:
-        shares = _in_processes(functools.partial(_rows, v_max=v_max), _deal(n_max, workers))
-        # every share is already in (n, v) order, which sorting merges
-        cells = tuple(sorted([c for share in shares for c in share], key=operator.itemgetter(0, 1)))
-    else:
-        cells = tuple(_rows(range(n_max + 1), v_max))
+    shares = _in_processes(functools.partial(_rows, v_max=v_max), _deal(n_max, workers))
+    cells = tuple(c for n in range(n_max + 1) for c in shares[n % workers][n // workers])
     return ScanReport(n_max, v_max, cells, summarize(cells))
 
 
@@ -430,8 +425,9 @@ def read_report(path) -> ScanReport:
     Each cell is rebuilt from n, v and its two eigenvalues, and its stored
     row must be the one write_report writes for it; the JSON summary and
     k0 are ignored and re-derived.  Each distinct (v - 2n, row tail) is
-    derived and checked once per call.  The cells must fill the (n, v) grid
-    in order.  Anything else raises ValueError.
+    derived and checked once per call.  A CSV row must have one field per
+    column, and the cells must fill the (n, v) grid in order.  Anything
+    else raises ValueError.
     """
     checked: dict[tuple, tuple] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -449,6 +445,11 @@ def read_report(path) -> ScanReport:
             lines = [ln for ln in text.split("\n") if ln]
             if not lines or lines[0] != CSV_HEADER:
                 raise ValueError("not a recognized report file")
+            # the header, line 0, has one field per column, so line i is row i
+            for i, ln in enumerate(lines):
+                if ln.count(",") != len(_COLUMNS) - 1:
+                    fields = ln.count(",") + 1
+                    raise ValueError(f"report row {i} has {fields} fields, not {len(_COLUMNS)}")
             rows = (tuple(ln.split(",")) for ln in lines[1:])
             cells = tuple(_cell_from_row(row, _csv_values, checked) for row in rows)
             # an empty CSV report fails the grid check below

@@ -1,15 +1,15 @@
 """Exact eigenvalue extraction and verification of the ladder relations.
 
-Eigenvalues are found by polynomial proportionality, never by numerics: a
-candidate is read off one coefficient pair and then checked against every
-other coefficient by cross-multiplication, so a Proper result is a proof of
-the eigenrelation for that cell.
+Eigenvalues are found by polynomial proportionality, never by numerics:
+``extract_eigenvalue`` asks ``WeightedFunction._factor`` for the scalar that
+carries the state onto the result, which that test reads off one coefficient
+pair and checks against every other, so a Proper result is a proof of the
+eigenrelation for that cell.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +25,7 @@ from .operators import (
     k_minus,
     k_plus,
 )
-from .scalars import _ONE, ZERO, RadicalScalar, sqrt_of_rational
+from .scalars import ZERO, RadicalScalar, sqrt_of_rational
 
 
 class ZeroStateError(ValueError):
@@ -69,40 +69,14 @@ _Column = Sequence[_Entry] | dict[int, _Entry]
 
 
 def extract_eigenvalue(result: WeightedFunction, state: WeightedFunction) -> EigenResult:
-    """Exact lambda with result = lambda * state, or why there is none.
-
-    Decided on the integer numerators: after any integer weight gap is
-    shifted into the result, the two polynomials must have the same
-    exponents, and every numerator pair must cross-multiply equal to the
-    pair at the state's lowest exponent.  The denominators and radical units
-    are common factors, so only a Proper result pays for one scalar division.
-    """
+    """Exact lambda with result = lambda * state, or why there is none;
+    proportionality is decided by WeightedFunction._factor."""
     if state.is_zero:
         raise ZeroStateError("cannot extract an eigenvalue against the zero function")
     if result.is_zero:
         return _TRIVIAL
-    gap = result.s - state.s
-    if gap.denominator != 1:
-        return _NOT_EIGEN
-    rpoly = result.poly.shifted(int(gap))
-    spoly = state.poly
-    rnum, snum = rpoly._num, spoly._num
-    if rnum.keys() != snum.keys():
-        return _NOT_EIGEN
-    base = min(snum)
-    rb, sb = rnum[base], snum[base]
-    # the base pair in lowest terms keeps one factor of each product small
-    g = math.gcd(rb, sb)
-    rb, sb = rb // g, sb // g
-    for e, c in snum.items():
-        if rnum[e] * sb != c * rb:
-            return _NOT_EIGEN
-    # lambda = (rb / rden * runit) / (sb / sden * sunit); a common unit cancels
-    q = Fraction(rb * spoly._den, sb * rpoly._den)
-    if rpoly._unit == spoly._unit:
-        return EigenResult(RadicalScalar(q), EigenStatus.PROPER)
-    lam = RadicalScalar._raw(q, rpoly._unit) / RadicalScalar._raw(_ONE, spoly._unit)
-    return EigenResult(lam, EigenStatus.PROPER)
+    lam = state._factor(result)
+    return _NOT_EIGEN if lam is None else EigenResult(lam, EigenStatus.PROPER)
 
 
 def _action(op: DiffOp, jet: Sequence[WeightedFunction]) -> EigenResult:

@@ -169,6 +169,19 @@ def test_plot_rejects_malformed_or_inconsistent_report(tmp_path, corrupt):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("fields", [3, 14])
+def test_plot_rejects_a_csv_row_with_the_wrong_field_count(tmp_path, fields):
+    report, svg = tmp_path / "r.csv", tmp_path / "x.svg"
+    _run(["scan", "--n-max", "1", "--v-max", "2", "--format", "csv", "--out", str(report)])
+    lines = report.read_text(encoding="utf-8").splitlines()
+    lines[2] = ",".join((lines[2].split(",") + ["x"])[:fields])
+    report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = _run(["plot", "--in", str(report), "--mode", "sign", "--out", str(svg)])
+    assert code == 2
+    assert err == f"error: report row 2 has {fields} fields, not 13\n"
+    assert not svg.exists()
+
+
 def test_plot_rejects_unknown_mode(tmp_path):
     code, _, _ = _run(
         ["plot", "--in", str(tmp_path / "r.json"), "--mode", "rainbow", "--out", str(tmp_path / "x.svg")]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,24 @@ def test_removed_names_stay_removed(name):
     assert not hasattr(morsealg, name)
     for mod in MODULES:
         assert not hasattr(importlib.import_module(f"morsealg.{mod}"), name), mod
+
+
+# the integer form of a LaurentPoly and a RadicalScalar
+INTEGER_FORM = {"_num", "_den", "_unit", "_q"}
+PACKAGE = Path(morsealg.__file__).parent
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("functions.py", "scalars.py"))
+)
+def test_only_functions_and_scalars_read_the_integer_form(path):
+    tree = ast.parse((PACKAGE / path).read_text(encoding="utf-8"))
+    reads = [
+        f"{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in INTEGER_FORM
+    ]
+    assert reads == []
 
 
 @pytest.mark.parametrize("n, v", [(0, 0), (0, 1), (3, 7), (5, 3), (150, 300)])

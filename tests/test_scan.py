@@ -216,7 +216,7 @@ def test_workers_produce_identical_report():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Runs every share in-process; lists how many children each pooled scan would fork."""
+    """Runs every share in-process; lists how many children each scan would fork."""
     counts: list[int] = []
 
     def in_process(fn, shares):
@@ -233,7 +233,7 @@ def forks(monkeypatch):
         (100_000, 3, 8, 4),  # capped by the rows
         (100_000, 10, 2, 2),  # capped by the CPUs
         (3, 10, 8, 3),
-        (100_000, 10, None, None),  # CPU count unknown: serial, no pool
+        (100_000, 10, None, None),  # CPU count unknown: serial, no child
         (5, 0, 8, None),  # a single row runs serially
     ],
 )
@@ -253,7 +253,7 @@ def test_pool_size_is_capped_before_any_process_starts(
         )
         monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 64)
     report = scan(n_max, 2, workers=workers)
-    assert forks == ([] if processes is None else [processes - 1])
+    assert forks == [(processes or 1) - 1]
     assert report == scan(n_max, 2)
 
 
