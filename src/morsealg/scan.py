@@ -8,9 +8,14 @@ pipe (``_in_processes``).
 
 A cell's row is defined once.  ``_record`` derives every field from (n, v)
 and the two computed eigenvalues, ``_row`` lays the fields out in
-CSV_HEADER order for both report formats, and ``read_report`` rebuilds each
-distinct row through ``_record`` once and rejects a file whose rows or grid
-differ from what ``write_report`` would write.  The ``verify`` suite visits
+CSV_HEADER order for both report formats, and ``read_report`` rebuilds rows
+through ``_record`` and rejects a file whose rows or grid differ from what
+``write_report`` would write.  Every column after n and v depends on a cell
+only through v - 2n and its two eigenvalues, so both keep one memo entry
+per diagonal v - 2n: a row whose columns after n and v equal its entry's is
+neither derived again on read nor encoded again on write, and any other
+row takes the full path and replaces the entry, so each row costs at most
+one derivation or encoding.  The ``verify`` suite visits
 each cell once: it builds the cell's record as ``scan`` does and runs its
 operator checks on the same state.
 """
@@ -306,18 +311,24 @@ def write_report(report: ScanReport, format: str, path) -> None:
     """Persist a report as JSON (full) or CSV (fixed header, no k0 column).
 
     The bytes are those of json.dump(doc, indent=1) + "\n" and of the CSV
-    header plus one comma-joined row per cell.  Each distinct row tail (the
-    values _row lays out after n and v) is encoded once per call: the memo
-    key is the tail itself, so a cell's text is its own n and v followed by
-    the text of an equal tail.  The JSON k0 column is not in the key: k0 is
-    ev3 / 2 and str(Fraction) is canonical, so an equal ev3 text means an
-    equal k0, and str(cell.k0) runs only for a new tail.  Like the 1 == True
-    limit of _json_row, this holds for records whose ev3 is a Fraction, as
-    _record builds them; a hand-built record with an int ev3 would share
-    the k0 text of a Fraction one.  I/O problems surface as the
-    interpreter's usual OSError.
+    header plus one comma-joined row per cell.  The columns after n and v
+    depend on a cell only through v - 2n and its two eigenvalues, so the
+    text of a row tail (every column after n and v) is kept per diagonal:
+    the memo maps v - 2n to the fields after n and v of the last cell
+    encoded there and their text.  A cell whose fields equal the entry's
+    is written as its own n and v followed by that text, without _row; any
+    other cell is encoded through _row and replaces the entry, so a
+    diagonal whose rows alternate encodes each of them, at most one _row
+    per cell.  The records read_report builds share their field objects,
+    so for them the comparison ends on identity.  The JSON k0 column is
+    derived only on encoding: k0 is ev3 / 2 and str(Fraction) is
+    canonical, so an equal ev3 means an equal k0.  Like the 1 == True
+    limit of _json_cells, the hit test holds for fields of the types _record
+    gives them: a hand-built record whose ev3 is an int, whose s is a
+    float or whose flag is 1 would share the text of one with a Fraction
+    or a bool.  I/O problems surface as the interpreter's usual OSError.
     """
-    encoded: dict[tuple, str] = {}
+    encoded: dict[int, tuple[tuple, str]] = {}
     if format == "json":
         doc = {
             "n_max": report.n_max,
@@ -338,52 +349,58 @@ def write_report(report: ScanReport, format: str, path) -> None:
             fh.write(json.dumps(doc, indent=1)[:-3])
             separator = ""
             for cell in report.cells:
-                tail = _row(cell)[2:]
-                tail_text = encoded.get(tail)
-                if tail_text is None:
+                n, v = cell.n, cell.v
+                fields = cell[2:]
+                entry = encoded.get(v - 2 * n)
+                if entry is None or entry[0] != fields:
+                    tail = _row(cell)[2:]
                     values = tail[: _K0_AT - 2] + (str(cell.k0),) + tail[_K0_AT - 2 :]
                     # a cell sits at depth 2; drop the tail's opening brace
                     tail_text = json.dumps(dict(zip(_JSON_KEYS[2:], values)), indent=1)
-                    tail_text = encoded[tail] = tail_text.replace("\n", "\n  ")[1:]
-                fh.write(f'{separator}\n  {{\n   "n": {cell.n},\n   "v": {cell.v},{tail_text}')
+                    entry = encoded[v - 2 * n] = (fields, tail_text.replace("\n", "\n  ")[1:])
+                fh.write(f'{separator}\n  {{\n   "n": {n},\n   "v": {v},{entry[1]}')
                 separator = ","
             fh.write("\n ]\n}\n" if report.cells else "]\n}\n")
     elif format == "csv":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             for cell in report.cells:
-                tail = _row(cell)[2:]
-                tail_text = encoded.get(tail)
-                if tail_text is None:
-                    tail_text = encoded[tail] = ",".join(_csv_values(tail))
-                fh.write(f"{cell.n},{cell.v},{tail_text}\n")
+                n, v = cell.n, cell.v
+                fields = cell[2:]
+                entry = encoded.get(v - 2 * n)
+                if entry is None or entry[0] != fields:
+                    tail_text = ",".join(_csv_values(_row(cell)[2:]))
+                    entry = encoded[v - 2 * n] = (fields, tail_text)
+                fh.write(f"{n},{v},{entry[1]}\n")
     else:
         raise ValueError(f"unknown report format: {format!r}")
 
 
 def _cell_from_row(
-    stored: tuple, written: Callable[[tuple], tuple], checked: dict[tuple, tuple]
+    n: int,
+    v: int,
+    stored: tuple,
+    tail: str | tuple,
+    written: Callable[[tuple], tuple],
+    checked: dict[int, tuple],
 ) -> CellRecord:
-    """Rebuild a cell from n, v and the eigenvalues of its stored row.
+    """Rebuild cell (n, v) from its stored row and make it its diagonal's memo entry.
 
-    Every other column is derived; ValueError unless written(_row(cell)),
-    the row write_report would store for the rebuilt cell, equals the
-    stored one.  The columns after n and v depend on (n, v) only through
-    v - 2n, so checked maps (v - 2n, stored[2:]) to the fields after n and
-    v of a cell whose row passed this check: a row with the same key is
-    that cell at its own n and v, and only its n and v columns are left to
-    compare.  A JSON row stores them as ints (_json_row checks the type), a
-    CSV row as text, which must be the canonical str of the int read.
+    Every column but n, v and the two eigenvalues is derived; ValueError
+    unless written(_row(cell)), the row write_report would store for the
+    rebuilt cell, equals stored.  The columns after n and v depend on
+    (n, v) only through v - 2n, so checked maps v - 2n to the tail of the
+    last row on that diagonal that passed this check and to the fields
+    after n and v of its cell.  tail is the row after n and v in the form
+    the reader compares: the CSV text after the second comma, or the tuple
+    of JSON values.  A later row whose tail equals the entry's and whose n
+    and v are stored as write_report stores them is that cell at its own n
+    and v, and _json_cells and _csv_cells build it from the entry's fields
+    without coming here.  Every other row comes here and replaces the
+    entry, so a diagonal whose rows alternate rebuilds each of them, at
+    most once per row.
     """
-    n, v, _, _, _, ev1, ev1_status, ev2, ev2_status = stored[:9]
-    n, v = int(n), int(v)
-    key = (v - 2 * n, stored[2:])
-    known = checked.get(key)
-    if known is not None:
-        stored_nv = stored[:2]
-        if stored_nv != (n, v) and stored_nv != (str(n), str(v)):
-            raise ValueError(f"inconsistent report row for cell ({n}, {v})")
-        return CellRecord(n, v, *known)
+    _, _, _, _, _, ev1, ev1_status, ev2, ev2_status = stored[:9]
     cell = _record(
         n,
         v,
@@ -392,31 +409,75 @@ def _cell_from_row(
     )
     if written(_row(cell)) != stored:
         raise ValueError(f"inconsistent report row for cell ({n}, {v})")
-    checked[key] = cell[2:]
+    checked[v - 2 * n] = (tail, cell[2:])
     return cell
 
 
-_json_values = operator.itemgetter(*_COLUMNS)
+_json_tail = operator.itemgetter(*_COLUMNS[2:])
 
 
-def _json_row(cell: dict) -> tuple:
-    """A JSON cell's stored values, in CSV_HEADER order.
+def _json_cells(cells: list) -> list[CellRecord]:
+    """The records of a JSON report's cells, in order.
 
-    n and v must be ints and the three flags bools, as write_report writes
-    them: 1 == 1.0 == True, so comparing rows, or looking a row tail up in
-    the read memo, cannot tell them apart.  The other columns are strings,
-    which equal only strings.
+    Every cell must have each CSV_HEADER column, n and v must be ints and
+    the three flags bools, as write_report writes them: 1 == 1.0 == True,
+    so comparing rows, or a row tail with the read memo's, cannot tell them
+    apart.  The other columns are strings, which equal only strings.  A
+    row hits the memo when its tail, the tuple of its values after n and
+    v, equals the one remembered for its v - 2n.
     """
-    row = _json_values(cell)
-    if (
-        type(row[0]) is not int
-        or type(row[1]) is not int
-        or type(row[10]) is not bool
-        or type(row[11]) is not bool
-        or type(row[12]) is not bool
-    ):
-        raise ValueError(f"report row for cell ({row[0]!r}, {row[1]!r}) stores a value of the wrong type")
-    return row
+    checked: dict[int, tuple] = {}
+    records = []
+    for i, cell in enumerate(cells):
+        try:
+            n, v, tail = cell["n"], cell["v"], _json_tail(cell)
+        except KeyError as e:
+            raise ValueError(f"report cells[{i}] has no {e.args[0]!r} column") from None
+        if (
+            type(n) is not int
+            or type(v) is not int
+            or type(tail[8]) is not bool
+            or type(tail[9]) is not bool
+            or type(tail[10]) is not bool
+        ):
+            raise ValueError(f"report row for cell ({n!r}, {v!r}) stores a value of the wrong type")
+        known = checked.get(v - 2 * n)
+        if known is not None and known[0] == tail:
+            records.append(CellRecord._make((n, v) + known[1]))
+        else:
+            # JSON stores the row values as they are
+            records.append(_cell_from_row(n, v, (n, v) + tail, tail, tuple, checked))
+    return records
+
+
+def _csv_cells(lines: list[str]) -> list[CellRecord]:
+    """The records of a CSV report's rows, lines[1:] (line 0 is the header).
+
+    A row must have one field per column and an integer n and v.  It hits
+    the memo when its text after the second comma equals the text
+    remembered for its v - 2n and its n and v are the canonical text of
+    the ints read (01, +1 and " 1" are not).
+    """
+    # the header, line 0, has one field per column, so line i is row i
+    for i, ln in enumerate(lines):
+        if ln.count(",") != len(_COLUMNS) - 1:
+            fields = ln.count(",") + 1
+            raise ValueError(f"report row {i} has {fields} fields, not {len(_COLUMNS)}")
+    checked: dict[int, tuple] = {}
+    records = []
+    for i, ln in enumerate(lines[1:], 1):
+        n_text, v_text, tail = ln.split(",", 2)
+        try:
+            n, v = int(n_text), int(v_text)
+        except ValueError:
+            nv = f"{n_text!r}, {v_text!r}"
+            raise ValueError(f"report row {i} stores n and v as {nv}, not integers") from None
+        known = checked.get(v - 2 * n)
+        if known is not None and known[0] == tail and n_text == str(n) and v_text == str(v):
+            records.append(CellRecord._make((n, v) + known[1]))
+        else:
+            records.append(_cell_from_row(n, v, tuple(ln.split(",")), tail, _csv_values, checked))
+    return records
 
 
 def read_report(path) -> ScanReport:
@@ -424,20 +485,18 @@ def read_report(path) -> ScanReport:
 
     Each cell is rebuilt from n, v and its two eigenvalues, and its stored
     row must be the one write_report writes for it; the JSON summary and
-    k0 are ignored and re-derived.  Each distinct (v - 2n, row tail) is
-    derived and checked once per call.  A CSV row must have one field per
-    column, and the cells must fill the (n, v) grid in order.  Anything
-    else raises ValueError.
+    k0 are ignored and re-derived.  A row whose tail repeats the last one
+    checked on its diagonal v - 2n is not derived again (_cell_from_row).
+    A JSON cell must have every column, a CSV row one field per column and
+    an integer n and v, and the cells must fill the (n, v) grid in order.
+    Anything else raises ValueError.
     """
-    checked: dict[tuple, tuple] = {}
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         if text.lstrip().startswith("{"):
             doc = json.loads(text)
-            rows = (_json_row(c) for c in doc["cells"])
-            # JSON stores the row values as they are
-            cells = tuple(_cell_from_row(row, tuple, checked) for row in rows)
+            cells = tuple(_json_cells(doc["cells"]))
             n_max, v_max = doc["n_max"], doc["v_max"]
             if type(n_max) is not int or type(v_max) is not int:
                 raise ValueError(f"report bounds are not integers: {n_max!r}, {v_max!r}")
@@ -445,13 +504,7 @@ def read_report(path) -> ScanReport:
             lines = [ln for ln in text.split("\n") if ln]
             if not lines or lines[0] != CSV_HEADER:
                 raise ValueError("not a recognized report file")
-            # the header, line 0, has one field per column, so line i is row i
-            for i, ln in enumerate(lines):
-                if ln.count(",") != len(_COLUMNS) - 1:
-                    fields = ln.count(",") + 1
-                    raise ValueError(f"report row {i} has {fields} fields, not {len(_COLUMNS)}")
-            rows = (tuple(ln.split(",")) for ln in lines[1:])
-            cells = tuple(_cell_from_row(row, _csv_values, checked) for row in rows)
+            cells = tuple(_csv_cells(lines))
             # an empty CSV report fails the grid check below
             n_max, v_max = (cells[-1].n, cells[-1].v) if cells else (0, 0)
     except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError, RecursionError) as e:

@@ -182,6 +182,38 @@ def test_plot_rejects_a_csv_row_with_the_wrong_field_count(tmp_path, fields):
     assert not svg.exists()
 
 
+# cell 3 of the 2 x 3 grid is (1, 0)
+@pytest.mark.parametrize("column", ["n", "ev2", "all_equal"])
+def test_plot_names_a_json_cell_that_lacks_a_column(tmp_path, column):
+    report, svg = tmp_path / "r.json", tmp_path / "x.svg"
+    _run(["scan", "--n-max", "1", "--v-max", "2", "--out", str(report)])
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    del doc["cells"][3][column]
+    report.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = _run(["plot", "--in", str(report), "--mode", "sign", "--out", str(svg)])
+    assert code == 2
+    assert err == f"error: report cells[3] has no {column!r} column\n"
+    assert not svg.exists()
+
+
+# row 2 of the 2 x 3 grid is (0, 1)
+@pytest.mark.parametrize("text", ["x", "1.0", ""])
+@pytest.mark.parametrize("field", [0, 1], ids=["n", "v"])
+def test_plot_names_a_csv_row_whose_n_or_v_is_not_an_integer(tmp_path, field, text):
+    report, svg = tmp_path / "r.csv", tmp_path / "x.svg"
+    _run(["scan", "--n-max", "1", "--v-max", "2", "--format", "csv", "--out", str(report)])
+    lines = report.read_text(encoding="utf-8").splitlines()
+    row = lines[2].split(",")
+    assert row[:2] == ["0", "1"]
+    row[field] = text
+    lines[2] = ",".join(row)
+    report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = _run(["plot", "--in", str(report), "--mode", "sign", "--out", str(svg)])
+    assert code == 2
+    assert err == f"error: report row 2 stores n and v as {row[0]!r}, {row[1]!r}, not integers\n"
+    assert not svg.exists()
+
+
 def test_plot_rejects_unknown_mode(tmp_path):
     code, _, _ = _run(
         ["plot", "--in", str(tmp_path / "r.json"), "--mode", "rainbow", "--out", str(tmp_path / "x.svg")]

@@ -4,14 +4,22 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import morsealg
-from morsealg import CellRecord, compute_cell, make_state, weight_exponent
-from morsealg.scan import _cell_from_row, _csv_values, _row
+from morsealg import (
+    CellRecord,
+    ScanReport,
+    compute_cell,
+    make_state,
+    summarize,
+    weight_exponent,
+    write_report,
+)
 
 MODULES = ("cli", "functions", "model", "operators", "plot", "scalars", "scan", "spectral")
 
@@ -89,13 +97,16 @@ def test_cell_record_k0_is_half_of_ev3(n, v):
     assert cell == tuple(getattr(cell, f) for f in CELL_FIELDS)
 
 
-@pytest.mark.parametrize("written", [tuple, _csv_values], ids=["json", "csv"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("n, v", [(150, 300), (120, 41), (200, 407)])
-def test_read_memo_hit_builds_the_computed_record(monkeypatch, written, n, v):
+def test_read_memo_hit_builds_the_computed_record(monkeypatch, tmp_path, fmt, n, v):
     # (n - 1, v - 2) has the same v - 2n, so its row tail is the same and
     # its derivation serves (n, v) from the memo
     scan_module = importlib.import_module("morsealg.scan")
-    rows = [written(_row(compute_cell(n - 1, v - 2))), written(_row(compute_cell(n, v)))]
+    cells = (compute_cell(n - 1, v - 2), compute_cell(n, v))
+    path = tmp_path / f"report.{fmt}"
+    write_report(ScanReport(n, v, cells, summarize(cells)), fmt, path)
+    text = path.read_text(encoding="utf-8")
     record = scan_module._record
     derived = []
 
@@ -104,9 +115,10 @@ def test_read_memo_hit_builds_the_computed_record(monkeypatch, written, n, v):
         return record(*args)
 
     monkeypatch.setattr(scan_module, "_record", counting)
-    checked: dict = {}
-    first = _cell_from_row(rows[0], written, checked)
-    cell = _cell_from_row(rows[1], written, checked)
+    if fmt == "json":
+        first, cell = scan_module._json_cells(json.loads(text)["cells"])
+    else:
+        first, cell = scan_module._csv_cells(text.split("\n")[:-1])
     monkeypatch.undo()
     assert derived == [(n - 1, v - 2)]
     assert type(cell) is CellRecord

@@ -23,6 +23,7 @@ from morsealg import (
     CSV_HEADER,
     CellRecord,
     DiffOp,
+    EigenResult,
     EigenStatus,
     LaurentPoly,
     OpClass,
@@ -599,13 +600,14 @@ def _read_or_none(text: str):
 
 
 def _read_row_by_row(text: str):
-    """_read_or_none with a fresh memo for every row: each row derived and checked on its own."""
+    """_read_or_none with an empty read memo for every row: each row derived and checked on its own."""
     cell_from_row = scan_module._cell_from_row
     with pytest.MonkeyPatch.context() as mp:
+        # a row that passes is remembered in a throwaway memo, so none hits
         mp.setattr(
             scan_module,
             "_cell_from_row",
-            lambda stored, written, checked: cell_from_row(stored, written, {}),
+            lambda n, v, stored, tail, written, checked: cell_from_row(n, v, stored, tail, written, {}),
         )
         return _read_or_none(text)
 
@@ -803,6 +805,17 @@ def _tail_sharing_report() -> ScanReport:
     return ScanReport(2, 8, cells, summarize(cells))
 
 
+# an eigenvalue no cell of these grids has
+_OTHER_EV1 = EigenResult(RadicalScalar.parse("1/3"), EigenStatus.PROPER)
+
+
+def _ev1_differing_report() -> ScanReport:
+    """Cells (0, 4), (1, 6), (2, 8): one v - 2n, and (1, 6) differs from the others only in ev1."""
+    cells = (compute_cell(0, 4), compute_cell(1, 6)._replace(ev1=_OTHER_EV1), compute_cell(2, 8))
+    assert cells[0][2:] == cells[2][2:] != cells[1][2:]
+    return ScanReport(2, 8, cells, summarize(cells))
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize(
     "report",
@@ -812,6 +825,7 @@ def _tail_sharing_report() -> ScanReport:
         pytest.param(lambda: scan(30, 30), id="scan(30,30)"),
         pytest.param(lambda: ScanReport(0, 0, (), summarize(())), id="empty"),
         pytest.param(_tail_sharing_report, id="shared-tail-flipped-flag"),
+        pytest.param(_ev1_differing_report, id="shared-diagonal-other-ev1"),
     ],
 )
 def test_written_bytes_equal_the_stdlib_reference(tmp_path, fmt, report):
@@ -819,6 +833,28 @@ def test_written_bytes_equal_the_stdlib_reference(tmp_path, fmt, report):
     path = tmp_path / f"report.{fmt}"
     write_report(report, fmt, path)
     assert path.read_bytes().decode("utf-8") == _reference_text(report, fmt)
+
+
+# on the diagonal v - 2n = 0 of scan(3, 6), the cells (1, 2) and (3, 6) get
+# another ev1 and the flags _record derives from it, so the diagonal's rows
+# alternate between two tails, each the one write_report writes for its cell
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rows_alternating_on_one_diagonal_read_and_rewrite_unchanged(tmp_path, fmt):
+    cells = tuple(
+        scan_module._record(c.n, c.v, _OTHER_EV1, c.ev2) if c.v == 2 * c.n and c.n % 2 else c
+        for c in scan(3, 6).cells
+    )
+    diagonal = [_row(c)[2:] for c in cells if c.v == 2 * c.n]
+    assert diagonal[0] == diagonal[2] != diagonal[1] == diagonal[3]
+    report = ScanReport(3, 6, cells, summarize(cells))
+    path = tmp_path / f"report.{fmt}"
+    write_report(report, fmt, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == _reference_text(report, fmt)
+    loaded = _read_or_none(text)
+    assert loaded == report == _read_row_by_row(text)
+    write_report(loaded, fmt, path)
+    assert path.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
