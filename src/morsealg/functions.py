@@ -1,12 +1,16 @@
-"""Laurent polynomials in y and the weighted family exp(-y/2) * y^s * P(y).
+"""Laurent polynomials, weighted functions exp(-y/2) * y^s * P(y), and the
+differential operators with Laurent coefficients that act on them.
 
-A polynomial is stored as integer numerators over one positive denominator,
-times one radical unit i^m * sqrt(r) shared by every coefficient, so all of
-its arithmetic runs on Python ints; ``coeff`` and ``items`` hand the
-coefficients out as exact :class:`~morsealg.scalars.RadicalScalar` values.
-No other module reads that integer form.  ``LaurentPoly._sum_of_products``
-is the one kernel that adds products of polynomials, with the one check of
-their radical units, and ``WeightedFunction._factor`` is the one
+A polynomial and an operator share one integer form: integer numerators over
+one positive denominator, times one radical unit i^m * sqrt(r) shared by
+every coefficient, so all of their arithmetic runs on Python ints.  A
+polynomial keys its numerators by exponent e, an operator by the pair
+(k, e) of its term y^e d^k/dy^k.  ``coeff``, ``items`` and ``terms`` hand
+the coefficients out as exact :class:`~morsealg.scalars.RadicalScalar`
+values and reduced polynomials; no other module reads the integer form.
+``DiffOp.apply`` adds the products of an operator's terms with a jet of
+derivatives in one loop, ``DiffOp._leibniz`` composes operators term pair by
+term pair in one loop, and ``WeightedFunction._factor`` is the one
 proportionality test.
 The weight exp(-y/2)*y^s is never expanded: differentiation and
 multiplication by Laurent coefficients keep a function inside the family, so
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,17 +49,104 @@ class Comparison(enum.Enum):
     INCOMPARABLE = "Incomparable"
 
 
-class LaurentPoly:
-    """Finite sum of c*y^k terms, k any integer; zero coefficients dropped.
+class _IntegerForm:
+    """Integer numerators over one denominator, times one radical unit.
 
-    Normal form: numerators {k: int} with no zero stored, a denominator
+    Normal form: numerators {key: int} with no zero stored, a denominator
     den > 0 with gcd(den, *numerators) == 1, and the unit (r, m) of
-    i^m * sqrt(r) with r squarefree; the zero polynomial has den 1 and the
-    rational unit.  Every coefficient is numerator / den * unit, so adding
-    polynomials whose nonzero units differ raises ArithmeticError.
+    i^m * sqrt(r) with r squarefree; zero has den 1 and the rational unit.
+    Every coefficient is numerator / den * unit, so adding values whose
+    nonzero units differ raises ArithmeticError.  LaurentPoly keys its
+    numerators by exponent, DiffOp by (derivative order, exponent); the
+    ring operations below do not look inside the keys.
     """
 
     __slots__ = ("_num", "_den", "_unit")
+    _ZERO: _IntegerForm  # each subclass's zero, set after the class
+
+    @classmethod
+    def _raw(cls, num: dict, den: int, unit: Unit):
+        # private: num, den and unit must already be in normal form
+        self = object.__new__(cls)
+        self._num = num
+        self._den = den
+        self._unit = unit
+        return self
+
+    @classmethod
+    def _reduced(cls, num: dict, den: int, unit: Unit):
+        # private: num has no zero and den > 0; divides out their common factor
+        if not num:
+            return cls._ZERO
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+        return cls._raw(num, den, unit)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __bool__(self) -> bool:
+        return bool(self._num)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return (
+                self._den == other._den
+                and self._unit == other._unit
+                and self._num == other._num
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self._num.items()), self._den, self._unit))
+
+    def __neg__(self):
+        return self._raw({e: -c for e, c in self._num.items()}, self._den, self._unit)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if not self._num:
+            return other
+        if not other._num:
+            return self
+        if self._unit != other._unit:
+            raise ArithmeticError("cannot add terms with different radical units")
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            out = accumulate(dict(self._num), other._num.items())
+        else:
+            g = math.gcd(d1, d2)
+            a, b = d2 // g, d1 // g
+            out = {e: c * a for e, c in self._num.items()}
+            accumulate(out, [(e, c * b) for e, c in other._num.items()])
+            d1 *= a
+        return self._reduced(out, d1, self._unit)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scaled(self, c: ScalarLike):
+        a, b, u = _split(c)
+        if not a or not self._num:
+            return self._ZERO
+        k, unit = _unit_mul(self._unit, u)
+        a *= k
+        return self._reduced({e: p * a for e, p in self._num.items()}, self._den * b, unit)
+
+
+class LaurentPoly(_IntegerForm):
+    """Finite sum of c*y^k terms, k any integer; zero coefficients dropped.
+
+    The integer form of :class:`_IntegerForm`, numerators keyed by exponent.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coeffs: dict[int, ScalarLike] | None = None):
         terms: list[tuple[int, int, int]] = []
@@ -74,26 +166,6 @@ class LaurentPoly:
         self._unit = unit
 
     @classmethod
-    def _raw(cls, num: dict[int, int], den: int, unit: Unit) -> LaurentPoly:
-        # private: num, den and unit must already be in normal form
-        self = object.__new__(cls)
-        self._num = num
-        self._den = den
-        self._unit = unit
-        return self
-
-    @classmethod
-    def _reduced(cls, num: dict[int, int], den: int, unit: Unit) -> LaurentPoly:
-        # private: num has no zero and den > 0; divides out their common factor
-        if not num:
-            return _ZERO_POLY
-        g = math.gcd(den, *num.values())
-        if g != 1:
-            num = {e: c // g for e, c in num.items()}
-            den //= g
-        return cls._raw(num, den, unit)
-
-    @classmethod
     def zero(cls) -> LaurentPoly:
         return _ZERO_POLY
 
@@ -109,10 +181,6 @@ class LaurentPoly:
     def monomial(cls, exponent: int, c: ScalarLike = 1) -> LaurentPoly:
         a, b, unit = _split(c)
         return cls._raw({exponent: a}, b, unit) if a else _ZERO_POLY
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
 
     @property
     def min_exponent(self) -> int:
@@ -137,49 +205,6 @@ class LaurentPoly:
         """(exponent, coefficient) pairs, the coefficients built on demand."""
         return [(e, self._scalar(c)) for e, c in self._num.items()]
 
-    def __bool__(self) -> bool:
-        return bool(self._num)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return (
-                self._den == other._den
-                and self._unit == other._unit
-                and self._num == other._num
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self._num.items()), self._den, self._unit))
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._raw({e: -c for e, c in self._num.items()}, self._den, self._unit)
-
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if not self._num:
-            return other
-        if not other._num:
-            return self
-        if self._unit != other._unit:
-            raise ArithmeticError("cannot add polynomials with different radical units")
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            out = accumulate(dict(self._num), other._num.items())
-        else:
-            g = math.gcd(d1, d2)
-            a, b = d2 // g, d1 // g
-            out = {e: c * a for e, c in self._num.items()}
-            accumulate(out, [(e, c * b) for e, c in other._num.items()])
-            d1 *= a
-        return LaurentPoly._reduced(out, d1, self._unit)
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: LaurentPoly | ScalarLike) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return self.scaled(other)
@@ -194,14 +219,6 @@ class LaurentPoly:
     def __rmul__(self, other: ScalarLike) -> LaurentPoly:
         return self.scaled(other)
 
-    def scaled(self, c: ScalarLike) -> LaurentPoly:
-        a, b, u = _split(c)
-        if not a or not self._num:
-            return _ZERO_POLY
-        k, unit = _unit_mul(self._unit, u)
-        a *= k
-        return LaurentPoly._reduced({e: p * a for e, p in self._num.items()}, self._den * b, unit)
-
     def shifted(self, d: int) -> LaurentPoly:
         """Multiply by y^d (shift every exponent by d)."""
         if d == 0:
@@ -212,34 +229,6 @@ class LaurentPoly:
         """Termwise d/dy, valid for negative exponents too."""
         out = {e - 1: c * e for e, c in self._num.items() if e}
         return LaurentPoly._reduced(out, self._den, self._unit)
-
-    @staticmethod
-    def _sum_of_products(terms: list[tuple[int, LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-        """The sum of m * a * g over terms (m, a, g), m a nonzero int.
-
-        Every product is added as integer numerators over the lcm of the
-        products' denominators, and the sum is reduced once.  Products with
-        different radical units raise ArithmeticError.
-        """
-        den = math.lcm(*[a._den * g._den for _, a, g in terms])
-        unit = None
-        out: dict[int, int] = {}
-        get = out.get
-        for m, a, g in terms:
-            k, u = _unit_mul(a._unit, g._unit)
-            if unit is None:
-                unit = u
-            elif u != unit:
-                raise ArithmeticError("cannot add polynomials with different radical units")
-            m *= k * (den // (a._den * g._den))
-            gn = g._num.items()
-            for e1, c1 in a._num.items():
-                c1 *= m
-                for e2, c2 in gn:
-                    e = e1 + e2
-                    out[e] = get(e, 0) + c1 * c2
-        out = {e: c for e, c in out.items() if c}
-        return LaurentPoly._reduced(out, den, unit)
 
     def __str__(self) -> str:
         if not self._num:
@@ -261,6 +250,7 @@ class LaurentPoly:
 
 _ZERO_POLY = LaurentPoly._raw({}, 1, _RATIONAL)
 _ONE_POLY = LaurentPoly._raw({0: 1}, 1, _RATIONAL)
+LaurentPoly._ZERO = _ZERO_POLY
 
 
 @dataclass(frozen=True)
@@ -377,3 +367,186 @@ class WeightedFunction:
     def __str__(self) -> str:
         return f"exp(-y/2) * y^({self.s}) * ({self.poly})"
 
+
+class DiffOp(_IntegerForm):
+    """Finite sum of c * y^e * d^k/dy^k terms, k >= 0 and e any integer.
+
+    The integer form of :class:`_IntegerForm`, numerators keyed by (k, e):
+    an operator has one denominator and one radical unit for all of its
+    coefficients.  ``terms`` gives the coefficient of each order as a
+    reduced LaurentPoly.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms: dict[int, LaurentPoly] | None = None):
+        """TypeError unless every order is an int and every coefficient a
+        LaurentPoly: no float or bare number enters the exact core.
+        ArithmeticError when two nonzero coefficients carry different
+        radical units."""
+        parts: list[tuple[int, LaurentPoly]] = []
+        unit = _RATIONAL
+        for k, p in (terms or {}).items():
+            if not isinstance(k, int) or not isinstance(p, LaurentPoly):
+                raise TypeError(f"not an int order and a LaurentPoly: {k!r}: {p!r}")
+            if k < 0:
+                raise ValueError("derivative order must be non-negative")
+            if not p._num:
+                continue
+            if parts and p._unit != unit:
+                raise ArithmeticError("coefficients carry different radical units")
+            parts.append((k, p))
+            unit = p._unit
+        # each coefficient is reduced, so over the lcm the numerators share no factor
+        den = math.lcm(*(p._den for _, p in parts))
+        self._num = {(k, e): c * (den // p._den) for k, p in parts for e, c in p._num.items()}
+        self._den = den
+        self._unit = unit
+
+    @classmethod
+    def zero(cls) -> DiffOp:
+        return _ZERO_OP
+
+    @classmethod
+    def identity(cls) -> DiffOp:
+        return _IDENTITY_OP
+
+    @classmethod
+    def multiplication(cls, poly: LaurentPoly) -> DiffOp:
+        if not poly:
+            return _ZERO_OP
+        return cls._raw({(0, e): c for e, c in poly._num.items()}, poly._den, poly._unit)
+
+    @classmethod
+    def derivative(cls, order: int = 1) -> DiffOp:
+        if order < 0:
+            raise ValueError("derivative order must be non-negative")
+        return cls._raw({(order, 0): 1}, 1, _RATIONAL)
+
+    @property
+    def terms(self) -> dict[int, LaurentPoly]:
+        by_order: dict[int, dict[int, int]] = {}
+        for (k, e), c in self._num.items():
+            by_order.setdefault(k, {})[e] = c
+        den, unit = self._den, self._unit
+        return {k: LaurentPoly._reduced(num, den, unit) for k, num in sorted(by_order.items())}
+
+    @property
+    def max_order(self) -> int:
+        return max([k for k, _ in self._num], default=0)
+
+    def coeff(self, order: int) -> LaurentPoly:
+        num = {e: c for (k, e), c in self._num.items() if k == order}
+        return LaurentPoly._reduced(num, self._den, self._unit)
+
+    def apply(self, f: WeightedFunction | Sequence[WeightedFunction]) -> WeightedFunction:
+        """Exact action on a weighted function; the weight exponent s survives.
+
+        f is the function, or its jet (f, f', f'', ...) from
+        WeightedFunction.jet, whose derivatives are used instead of taken
+        again; a jet shorter than the operator's order is extended.  Every
+        product of a term c * y^e d^k/dy^k with a numerator of f^(k) is
+        added over one common denominator in one loop; the jet carries f's
+        unit, so the sum has one unit.
+        """
+        jet = [f] if isinstance(f, WeightedFunction) else list(f)
+        s = jet[0].s
+        p0 = jet[0].poly
+        if not self._num or not p0._num:
+            return WeightedFunction(s, _ZERO_POLY)
+        top = self.max_order
+        while len(jet) <= top:
+            jet.append(jet[-1].derivative())
+        polys = [g.poly for g in jet[: top + 1]]
+        den = math.lcm(*[p._den for p in polys])
+        m, unit = _unit_mul(self._unit, p0._unit)
+        # f^(k) over den, times the unit factor m
+        scaled = [(m * (den // p._den), p._num.items()) for p in polys]
+        out: dict[int, int] = {}
+        get = out.get
+        for (k, e1), c1 in self._num.items():
+            a, g = scaled[k]
+            c1 *= a
+            for e2, c2 in g:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        out = {e: c for e, c in out.items() if c}
+        return WeightedFunction(s, LaurentPoly._reduced(out, self._den * den, unit))
+
+    def compose(self, other: DiffOp) -> DiffOp:
+        """Exact composition self after other, by the Leibniz expansion."""
+        return DiffOp._leibniz([(1, self, other)])
+
+    @staticmethod
+    def _leibniz(pairs: list[tuple[int, DiffOp, DiffOp]], first: int = 0) -> DiffOp:
+        """The sum of sign * (a after b) over pairs (sign, a, b), in normal form.
+
+        By the Leibniz rule c1 y^e1 d^j (c2 y^e2 d^k) is the sum over i of
+        C(j, i) * e2(e2-1)...(e2-i+1) * c1 c2 y^(e1+e2-i) d^(j-i+k); only the
+        terms with i >= first are kept, first being 0 or 1, and the sum over
+        i stops at the first zero falling factorial.  Every product is added
+        as an integer numerator over the lcm of the pairs' denominators, and
+        the sum is reduced once.  Nonzero pairs whose radical units differ
+        raise ArithmeticError.
+        """
+        work = []
+        unit = None
+        for sign, a, b in pairs:
+            if not a._num or not b._num:
+                continue
+            k, u = _unit_mul(a._unit, b._unit)
+            if unit is None:
+                unit = u
+            elif u != unit:
+                raise ArithmeticError("cannot add operators with different radical units")
+            work.append((sign * k, a._den * b._den, a._num.items(), b._num.items()))
+        if not work:
+            return _ZERO_OP
+        den = math.lcm(*[d for _, d, _, _ in work])
+        comb = math.comb
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for m, d, an, bn in work:
+            m *= den // d
+            for (j, e1), c1 in an:
+                if j < first:
+                    continue
+                c1 *= m
+                for (k, e2), c2 in bn:
+                    c = c1 * c2
+                    o, e = j + k, e1 + e2
+                    if not first:
+                        key = (o, e)
+                        out[key] = get(key, 0) + c
+                    for i in range(1, j + 1):
+                        # c1 c2 e2(e2-1)...(e2-i+1), zero from its first zero factor on
+                        c *= e2 - i + 1
+                        if not c:
+                            break
+                        key = (o - i, e - i)
+                        out[key] = get(key, 0) + comb(j, i) * c
+        out = {key: c for key, c in out.items() if c}
+        return DiffOp._reduced(out, den, unit)
+
+    def __str__(self) -> str:
+        terms = self.terms
+        if not terms:
+            return "0"
+        parts = []
+        for k, poly in terms.items():
+            p = f"({poly})"
+            if k == 1:
+                parts.append(f"{p}*d/dy")
+            elif k > 1:
+                parts.append(f"{p}*d{k}/dy{k}")
+            else:
+                parts.append(p)
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"DiffOp({str(self)!r})"
+
+
+_ZERO_OP = DiffOp._raw({}, 1, _RATIONAL)
+_IDENTITY_OP = DiffOp._raw({(0, 0): 1}, 1, _RATIONAL)
+DiffOp._ZERO = _ZERO_OP

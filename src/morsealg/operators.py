@@ -1,36 +1,28 @@
-"""Differential operators with Laurent coefficients, and the Morse family.
+"""The Morse ladder, stationary and commutator operators.
 
-A DiffOp is a finite sum a_k(y) * d^k/dy^k with exact Laurent-polynomial
-coefficients.  Applying one to a weighted function stays inside the weighted
-family, so ladder relations, commutators and eigenvalue checks all reduce to
-exact polynomial identities.
+The operators are :class:`~morsealg.functions.DiffOp` values, finite sums
+c * y^e * d^k/dy^k with exact coefficients; ``DiffOp`` lives in
+``functions`` with the integer form it shares with ``LaurentPoly`` and is
+re-exported here.  Applying one to a weighted function stays inside the
+weighted family, so ladder relations, commutators and eigenvalue checks all
+reduce to exact polynomial identities.
 
-Ladder-operator constructors fold their scalar radical prefactor directly
-into the coefficients; the radical cancellations of the parameter-shifted
-commutator then happen through ordinary multiplication.  Application,
-composition, the commutator and the composed shifted commutator only
-collect products of coefficients; ``LaurentPoly._sum_of_products`` adds
-them and checks their radical units.
+Each constructor writes its operator as integer numerators keyed by
+(order, exponent) over one denominator and one radical unit, and ladder
+constructors fold their scalar radical prefactor into that unit; the radical
+cancellations of the parameter-shifted commutator then happen through
+ordinary multiplication.  Composition, the commutator and the composed
+shifted commutator are one Leibniz loop over term pairs,
+``DiffOp._leibniz``, which checks the radical unit once per pair.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from collections.abc import Sequence
 from fractions import Fraction
 
-from .functions import LaurentPoly, ScalarLike, WeightedFunction
-from .scalars import (
-    _RATIONAL,
-    ZERO,
-    RadicalScalar,
-    Unit,
-    _rational,
-    _sqrt_unit,
-    _unit_mul,
-    accumulate,
-)
+from .functions import DiffOp
+from .scalars import _RATIONAL, ZERO, RadicalScalar, Unit, _rational, _sqrt_unit, _unit_mul
 
 
 class UndefinedOperatorError(ZeroDivisionError):
@@ -43,172 +35,13 @@ class OpClass(enum.Enum):
     UNDEFINED = "Undefined"
 
 
-class DiffOp:
-    """Finite map {derivative order k >= 0: coefficient LaurentPoly}."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[int, LaurentPoly] | None = None):
-        """TypeError unless every order is an int and every coefficient a
-        LaurentPoly: no float or bare number enters the exact core."""
-        out: dict[int, LaurentPoly] = {}
-        if terms:
-            for k, p in terms.items():
-                if not isinstance(k, int) or not isinstance(p, LaurentPoly):
-                    raise TypeError(f"not an int order and a LaurentPoly: {k!r}: {p!r}")
-                if k < 0:
-                    raise ValueError("derivative order must be non-negative")
-                if p:
-                    out[k] = p
-        self._terms = out
-
-    @classmethod
-    def _raw(cls, terms: dict[int, LaurentPoly]) -> DiffOp:
-        self = object.__new__(cls)
-        self._terms = terms
-        return self
-
-    @classmethod
-    def zero(cls) -> DiffOp:
-        return _ZERO_OP
-
-    @classmethod
-    def identity(cls) -> DiffOp:
-        return _IDENTITY_OP
-
-    @classmethod
-    def multiplication(cls, poly: LaurentPoly) -> DiffOp:
-        return cls._raw({0: poly}) if poly else _ZERO_OP
-
-    @classmethod
-    def derivative(cls, order: int = 1) -> DiffOp:
-        if order < 0:
-            raise ValueError("derivative order must be non-negative")
-        return cls._raw({order: LaurentPoly.one()})
-
-    @property
-    def terms(self) -> dict[int, LaurentPoly]:
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def max_order(self) -> int:
-        return max(self._terms, default=0)
-
-    def coeff(self, order: int) -> LaurentPoly:
-        return self._terms.get(order, LaurentPoly.zero())
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DiffOp):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __neg__(self) -> DiffOp:
-        return DiffOp._raw({k: -p for k, p in self._terms.items()})
-
-    def __add__(self, other: DiffOp) -> DiffOp:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return DiffOp._raw(accumulate(dict(self._terms), other._terms.items()))
-
-    def __sub__(self, other: DiffOp) -> DiffOp:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self + (-other)
-
-    def scaled(self, c: ScalarLike) -> DiffOp:
-        c = c if isinstance(c, RadicalScalar) else RadicalScalar(c)
-        if not c:
-            return _ZERO_OP
-        return DiffOp._raw({k: p.scaled(c) for k, p in self._terms.items()})
-
-    def apply(self, f: WeightedFunction | Sequence[WeightedFunction]) -> WeightedFunction:
-        """Exact action on a weighted function; the weight exponent s survives.
-
-        f is the function, or its jet (f, f', f'', ...) from
-        WeightedFunction.jet, whose derivatives are used instead of taken
-        again; a jet shorter than the operator's order is extended.  The
-        terms a_k * f^(k) are added by LaurentPoly._sum_of_products, so
-        terms with different radical units raise ArithmeticError.
-        """
-        jet = [f] if isinstance(f, WeightedFunction) else list(f)
-        s = jet[0].s
-        if not self._terms or jet[0].is_zero:
-            return WeightedFunction(s, LaurentPoly.zero())
-        while len(jet) <= self.max_order:
-            jet.append(jet[-1].derivative())
-        terms = [(1, a, jet[k].poly) for k, a in self._terms.items()]
-        return WeightedFunction(s, LaurentPoly._sum_of_products(terms))
-
-    def compose(self, other: DiffOp) -> DiffOp:
-        """Exact composition self after other, by the Leibniz expansion."""
-        return _leibniz([(1, self, other)])
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for k in sorted(self._terms):
-            p = f"({self._terms[k]})"
-            if k == 1:
-                parts.append(f"{p}*d/dy")
-            elif k > 1:
-                parts.append(f"{p}*d{k}/dy{k}")
-            else:
-                parts.append(p)
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"DiffOp({str(self)!r})"
-
-
-_ZERO_OP = DiffOp._raw({})
-_IDENTITY_OP = DiffOp._raw({0: LaurentPoly.one()})
-
-
-def _leibniz(pairs: list[tuple[int, DiffOp, DiffOp]], first: int = 0) -> DiffOp:
-    """The sum of sign * (a after b) over pairs (sign, a, b), in normal form.
-
-    By the Leibniz rule a_j d^j (b_k d^k) = sum_i C(j, i) a_j b_k^(i)
-    d^(j - i + k); only the terms with i >= first are kept.  The terms of
-    one output order are added by LaurentPoly._sum_of_products; terms of
-    one order with different radical units raise ArithmeticError.
-    """
-    by_order: dict[int, list] = {}
-    for sign, a, b in pairs:
-        top = a.max_order
-        for k, bk in b._terms.items():
-            # b_k, b_k', ..., b_k^(top), cut at the first zero derivative
-            ders = [bk]
-            while len(ders) <= top and (d := ders[-1].derivative()):
-                ders.append(d)
-            for j, aj in a._terms.items():
-                for i in range(first, min(j, len(ders) - 1) + 1):
-                    by_order.setdefault(j - i + k, []).append((sign * math.comb(j, i), aj, ders[i]))
-    out = {}
-    for o, terms in by_order.items():
-        p = LaurentPoly._sum_of_products(terms)
-        if p:
-            out[o] = p
-    return DiffOp._raw(out)
-
-
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b] = a compose b - b compose a, in normal form.
 
     The Leibniz terms with i = 0, a_j b_k d^(j+k), are the same in both
     products and cancel exactly, so only the terms with i >= 1 are added.
     """
-    return _leibniz([(1, a, b), (-1, b, a)], first=1)
+    return DiffOp._leibniz([(1, a, b), (-1, b, a)], first=1)
 
 
 def _ratio(x: Fraction | int) -> tuple[int, int]:
@@ -218,18 +51,10 @@ def _ratio(x: Fraction | int) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _op(terms: dict[int, dict[int, int]], den: int, unit: Unit) -> DiffOp:
-    """The operator sum_k (terms[k] / den * unit)(y) d^k/dy^k in normal form.
-
-    terms maps a derivative order to integer numerators by exponent; zero
-    numerators are dropped, and each coefficient is reduced on its own.
-    """
-    out: dict[int, LaurentPoly] = {}
-    for k, num in terms.items():
-        num = {e: c for e, c in num.items() if c}
-        if num:
-            out[k] = LaurentPoly._reduced(num, den, unit)
-    return DiffOp._raw(out)
+def _op(num: dict[tuple[int, int], int], den: int, unit: Unit) -> DiffOp:
+    """The operator sum of num[k, e] / den * unit * y^e d^k/dy^k in normal
+    form; zero numerators are dropped."""
+    return DiffOp._reduced({key: c for key, c in num.items() if c}, den, unit)
 
 
 def _ladder(sigma: int, s: Fraction, v: Fraction | int) -> DiffOp:
@@ -243,12 +68,12 @@ def _ladder(sigma: int, s: Fraction, v: Fraction | int) -> DiffOp:
     a, b = s.numerator, s.denominator
     p = a - sigma * b
     if not p:
-        return _ZERO_OP
+        return DiffOp.zero()
     k, unit = _sqrt_unit(p * a)
     c, e = _ratio(v)
     t = 2 * a - sigma * b
     return _op(
-        {1: {0: sigma * t * 2 * b * e * k}, 0: {-1: a * t * 2 * e * k, 0: -c * b * b * k}},
+        {(1, 0): sigma * t * 2 * b * e * k, (0, -1): a * t * 2 * e * k, (0, 0): -c * b * b * k},
         2 * b * b * e * abs(a),
         unit,
     )
@@ -284,7 +109,7 @@ def schrodinger_diff(s: Fraction, v: Fraction | int) -> DiffOp:
     # over 4b^2e, with s = a/b and v = c/e
     d = 4 * b * b * e
     return _op(
-        {2: {1: d}, 1: {0: d}, 0: {-1: -4 * a * a * e, 1: -b * b * e, 0: 2 * b * b * c}},
+        {(2, 1): d, (1, 0): d, (0, -1): -4 * a * a * e, (0, 1): -b * b * e, (0, 0): 2 * b * b * c},
         d,
         _RATIONAL,
     )
@@ -311,7 +136,7 @@ def k0_prime_simplified(s: Fraction, v: Fraction | int) -> DiffOp:
     # over b^3e, with s = a/b and v = c/e
     m = -8 * a * b * b * e
     return _op(
-        {2: {0: m}, 1: {-1: m}, 0: {-2: 8 * a**3 * e, -1: -4 * a * b * b * c}},
+        {(2, 0): m, (1, -1): m, (0, -2): 8 * a**3 * e, (0, -1): -4 * a * b * b * c},
         b**3 * e,
         _RATIONAL,
     )
@@ -337,7 +162,7 @@ def _shifted_commutator(
     """plus_above after minus, minus minus_below after plus: the composed
     shifted commutator from its four ladder factors k_plus(s+1, v),
     k_minus(s, v), k_minus(s-1, v) and k_plus(s, v)."""
-    return _leibniz([(1, plus_above, minus), (-1, minus_below, plus)])
+    return DiffOp._leibniz([(1, plus_above, minus), (-1, minus_below, plus)])
 
 
 def naive_commutator(s: Fraction, v: Fraction | int) -> DiffOp:

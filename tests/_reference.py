@@ -3,9 +3,9 @@
 ``DiffOp.apply`` now adds every term over one common denominator in one
 pass, and ``extract_eigenvalue`` decides proportionality on integer
 numerators.  ``compose``, ``commutator`` and ``k0_prime_composed`` now share
-one Leibniz kernel that adds the integer numerators of every product of an
-output order over one denominator.  The bodies below are the ones they
-replaced: a derivative chain with one ``LaurentPoly`` product and one sum
+one Leibniz loop over the integer terms c * y^e * d^k of an operator pair,
+which never builds a derivative polynomial.  The bodies below are the ones
+they replaced: a derivative chain with one ``LaurentPoly`` product and one sum
 per order, a comparison of two scaled polynomials, and a Leibniz expansion
 with one ``LaurentPoly`` product, scaling and sum per term.
 ``naive_commutator_coefficient`` now works on the integers of s = a/b; its

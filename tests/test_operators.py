@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -29,6 +30,7 @@ from morsealg import (
     sqrt_of_rational,
 )
 from morsealg import operators as operators_module
+from morsealg.operators import _shifted_commutator
 
 from _reference import (
     apply_reference,
@@ -38,7 +40,7 @@ from _reference import (
     naive_commutator_coefficient_reference,
     naive_commutator_reference,
 )
-from _strategies import diff_ops, laurent_polys, shared_unit, weighted_functions
+from _strategies import diff_ops, laurent_polys, radical_scalars, shared_unit, weighted_functions
 
 
 def test_identity_application():
@@ -62,6 +64,8 @@ def test_compose_derivative_with_reciprocal():
     d = DiffOp.derivative()
     inv_y = DiffOp.multiplication(LaurentPoly({-1: 1}))
     assert commutator(d, inv_y) == DiffOp.multiplication(LaurentPoly({-2: -1}))
+    inv_y2 = DiffOp.multiplication(LaurentPoly({-2: 1}))
+    assert commutator(d, inv_y2) == DiffOp.multiplication(LaurentPoly({-3: -2}))
 
 
 def test_compose_euler_operator_squared():
@@ -78,6 +82,45 @@ def test_compose_with_identity():
 def test_commutator_with_itself_vanishes():
     op = DiffOp({1: LaurentPoly({0: 1, 1: 2}), 0: LaurentPoly({-1: 1})})
     assert commutator(op, op).is_zero
+
+
+@pytest.mark.parametrize(
+    "order, exponent, expected",
+    [
+        # d^3 y^2 = y^2 d^3 + 6y d^2 + 6 d: the terms i > 2 carry the factor 0
+        (3, 2, {3: (2, 1), 2: (1, 6), 1: (0, 6)}),
+        # d^2 y^-1 = y^-1 d^2 - 2y^-2 d + 2y^-3: no falling factor vanishes
+        (2, -1, {2: (-1, 1), 1: (-2, -2), 0: (-3, 2)}),
+    ],
+)
+def test_compose_derivative_after_monomial(order, exponent, expected):
+    op = DiffOp.derivative(order).compose(DiffOp.multiplication(LaurentPoly.monomial(exponent)))
+    assert op == DiffOp({k: LaurentPoly.monomial(e, c) for k, (e, c) in expected.items()})
+
+
+def _assert_normal_form(op: DiffOp) -> None:
+    """No zero numerator, gcd(den, *nums) == 1, the rational unit for zero,
+    and the same operator rebuilt from its coefficients."""
+    nums = list(op._num.values())
+    assert all(nums) and op._den > 0
+    assert math.gcd(op._den, *nums) == 1
+    if not nums:
+        assert op._unit == (1, 0)
+    assert DiffOp(op.terms) == op
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    diff_ops(max_order=3, unit=shared_unit),
+    diff_ops(max_order=3, unit=shared_unit),
+    diff_ops(max_order=2),
+    radical_scalars(),
+)
+def test_operator_results_are_in_normal_form(a, b, c, q):
+    results = [a, a + b, a - b, a - a, (a + b) - b, -a, a.scaled(q), a.scaled(0)]
+    results += [a.compose(c), c.compose(a), a.compose(a - a), commutator(a, c), commutator(a, a)]
+    for op in results:
+        _assert_normal_form(op)
 
 
 def test_lowering_construction_at_half():
@@ -434,12 +477,29 @@ _few_units = st.sampled_from([1, 2, -2]).map(sqrt_of_rational)
 
 
 @st.composite
-def _mixed_unit_ops(draw, max_order: int = 3) -> DiffOp:
-    """Each order's coefficient with its own unit: applications may not sum."""
+def _mixed_unit_terms(draw, max_order: int = 3) -> dict[int, LaurentPoly]:
+    """Each order's coefficient with its own unit: DiffOp may refuse them."""
     terms = {}
     for order in range(max_order + 1):
         if draw(st.booleans()):
             terms[order] = draw(laurent_polys(min_exp=-2, max_exp=2, max_terms=2, unit=_few_units))
+    return terms
+
+
+def _unit(p: LaurentPoly) -> tuple[int, int]:
+    """The radical unit every coefficient of p carries; p != 0."""
+    _, c = p.items()[0]
+    (unit,) = c.terms
+    return unit
+
+
+def _op_or_none(terms: dict[int, LaurentPoly]) -> DiffOp | None:
+    """DiffOp(terms), or None where two nonzero coefficients differ in unit,
+    which must be exactly where the constructor raises ArithmeticError."""
+    if len({_unit(p) for p in terms.values() if p}) > 1:
+        with pytest.raises(ArithmeticError):
+            DiffOp(terms)
+        return None
     return DiffOp(terms)
 
 
@@ -452,34 +512,32 @@ def test_apply_matches_reference(op, f, jet_order):
     assert op.apply(f.jet(jet_order)) == expected
 
 
-def _unit(p: LaurentPoly) -> tuple[int, int]:
-    """The radical unit every coefficient of p carries; p != 0."""
-    _, c = p.items()[0]
-    (unit,) = c.terms
-    return unit
-
-
 @settings(max_examples=150, deadline=None)
-@given(_mixed_unit_ops(), weighted_functions(unit=_few_units))
-def test_apply_with_mixed_units_matches_reference(op, f):
-    # the units of the terms a_k * f^(k); more than one cannot be summed
-    jet = f.jet(op.max_order)
-    units = set() if f.is_zero else {_unit(p * jet[k].poly) for k, p in op.terms.items()}
-    if len(units) > 1:
-        with pytest.raises(ArithmeticError):
-            op.apply(f)
-    else:
+@given(_mixed_unit_terms(), weighted_functions(unit=_few_units))
+def test_apply_with_mixed_units_matches_reference(terms, f):
+    # an operator has one unit, so its application sums whatever f's unit
+    op = _op_or_none(terms)
+    if op is not None:
         assert op.apply(f) == apply_reference(op, f)
+        assert op.apply(f.jet(op.max_order)) == apply_reference(op, f)
 
 
 def test_apply_raises_on_terms_with_different_units():
-    f = WeightedFunction(Fraction(1, 2), LaurentPoly.one())
-    op = DiffOp({0: LaurentPoly.one(), 1: LaurentPoly.constant(sqrt_of_rational(2))})
+    sqrt2 = LaurentPoly.constant(sqrt_of_rational(2))
+    # coefficients of different units make no operator, in any order
     with pytest.raises(ArithmeticError):
-        op.apply(f)
+        DiffOp({0: LaurentPoly.one(), 1: sqrt2})
     with pytest.raises(ArithmeticError):
-        op.apply(f.jet(1))
-    # the zero function has no terms to add
+        DiffOp({1: sqrt2, 0: LaurentPoly.one()})
+    with pytest.raises(ArithmeticError):
+        DiffOp.identity() + DiffOp({1: sqrt2})
+    # a zero coefficient carries no unit
+    assert DiffOp({0: LaurentPoly.zero(), 1: sqrt2}) == DiffOp({1: sqrt2})
+    # one unit for the operator and another for f: the sum has their product
+    f = WeightedFunction(Fraction(1, 2), LaurentPoly.constant(sqrt_of_rational(-3)))
+    op = DiffOp({0: sqrt2, 1: sqrt2})
+    assert op.apply(f) == apply_reference(op, f)
+    assert op.apply(f.jet(1)) == apply_reference(op, f)
     assert op.apply(WeightedFunction(Fraction(1, 2), LaurentPoly.zero())).is_zero
 
 
@@ -508,38 +566,39 @@ def test_commutator_matches_reference(a, b):
     assert commutator(b, a) == -expected
 
 
-def _leibniz_units(a: DiffOp, b: DiffOp) -> dict[int, set]:
-    """The units of the nonzero Leibniz products of a after b, by output order."""
-    units: dict[int, set] = {}
-    for j, aj in a.terms.items():
-        for k, bk in b.terms.items():
-            bder = bk
-            for i in range(j + 1):
-                if not bder:
-                    break
-                units.setdefault(j - i + k, set()).add(_unit(aj * bder))
-                bder = bder.derivative()
-    return units
+def _shifted_reference(a: DiffOp, b: DiffOp, c: DiffOp, d: DiffOp) -> DiffOp:
+    return compose_reference(a, b) - compose_reference(c, d)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_mixed_unit_ops(), _mixed_unit_ops())
-def test_compose_with_mixed_units_matches_reference(a, b):
-    if any(len(u) > 1 for u in _leibniz_units(a, b).values()):
-        with pytest.raises(ArithmeticError):
-            a.compose(b)
-    else:
-        assert a.compose(b) == compose_reference(a, b)
+@given(_mixed_unit_terms(), _mixed_unit_terms(), diff_ops(max_order=2, unit=_few_units), st.data())
+def test_compose_with_mixed_units_matches_reference(a_terms, b_terms, c, data):
+    a, b = _op_or_none(a_terms), _op_or_none(b_terms)
+    if a is None or b is None:
+        return
+    assert a.compose(b) == compose_reference(a, b)
+    assert commutator(a, b) == commutator_reference(a, b)
+    # two pairs: their units multiply pair by pair, and a difference raises
+    d = data.draw(diff_ops(max_order=2, unit=_few_units))
+    shifted = _outcome(_shifted_commutator, a, b, c, d)
+    assert shifted == _outcome(_shifted_reference, a, b, c, d)
 
 
 def test_compose_raises_on_terms_with_different_units():
-    a = DiffOp({0: LaurentPoly.one(), 1: LaurentPoly.constant(sqrt_of_rational(2))})
-    b = DiffOp({0: LaurentPoly.one(), 1: LaurentPoly.one()})
-    # order 1 adds 1 * 1 and sqrt(2) * 1
+    sqrt2 = LaurentPoly.constant(sqrt_of_rational(2))
     with pytest.raises(ArithmeticError):
-        a.compose(b)
+        DiffOp({0: LaurentPoly.one(), 1: sqrt2})
+    # d after sqrt(2) and 1 after 1: the pairs' units differ
+    a, b = DiffOp.derivative(), DiffOp.multiplication(sqrt2)
+    one = DiffOp.identity()
     with pytest.raises(ArithmeticError):
-        compose_reference(a, b)
+        _shifted_commutator(a, b, one, one)
+    with pytest.raises(ArithmeticError):
+        _shifted_reference(a, b, one, one)
+    # pairs with one unit product, sqrt(2) * sqrt(2) and 2, are added
+    assert _shifted_commutator(b, b, one, one.scaled(2)).is_zero
+    # a zero pair adds nothing, whatever the unit of its other factor
+    assert _shifted_commutator(a, b, DiffOp.zero(), one) == a.compose(b)
 
 
 def _beyond_grid_weights() -> list[tuple[Fraction, Fraction | int]]:
