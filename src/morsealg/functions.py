@@ -43,6 +43,13 @@ def _split(c: ScalarLike) -> tuple[int, int, Unit]:
     return q.numerator, q.denominator, c._unit
 
 
+def _exponent(e: int) -> int:
+    """e itself; TypeError unless e is an int, so y^e is a Laurent term."""
+    if not isinstance(e, int):
+        raise TypeError(f"not an int exponent: {e!r}")
+    return e
+
+
 class Comparison(enum.Enum):
     EQUAL = "Equal"
     UNEQUAL = "Unequal"
@@ -55,10 +62,14 @@ class _IntegerForm:
     Normal form: numerators {key: int} with no zero stored, a denominator
     den > 0 with gcd(den, *numerators) == 1, and the unit (r, m) of
     i^m * sqrt(r) with r squarefree; zero has den 1 and the rational unit.
-    Every coefficient is numerator / den * unit, so adding values whose
-    nonzero units differ raises ArithmeticError.  LaurentPoly keys its
-    numerators by exponent, DiffOp by (derivative order, exponent); the
-    ring operations below do not look inside the keys.
+    ``_reduced`` is the one gate that makes this form, so its callers need
+    not: every result that may hold a zero numerator or a common factor
+    goes through it, the public constructors by way of ``_build``, and only
+    values normal by construction are built with ``_raw``.  Every
+    coefficient is numerator / den * unit, so adding values whose nonzero
+    units differ raises ArithmeticError.  LaurentPoly keys its numerators
+    by exponent, DiffOp by (derivative order, exponent); the ring
+    operations below do not look inside the keys.
     """
 
     __slots__ = ("_num", "_den", "_unit")
@@ -75,7 +86,10 @@ class _IntegerForm:
 
     @classmethod
     def _reduced(cls, num: dict, den: int, unit: Unit):
-        # private: num has no zero and den > 0; divides out their common factor
+        # private, the normal-form gate: den > 0; drops zero numerators, gives
+        # the zero singleton for none left and divides out the common factor
+        if 0 in num.values():
+            num = {key: c for key, c in num.items() if c}
         if not num:
             return cls._ZERO
         g = math.gcd(den, *num.values())
@@ -83,6 +97,24 @@ class _IntegerForm:
             num = {e: c // g for e, c in num.items()}
             den //= g
         return cls._raw(num, den, unit)
+
+    def _build(self, parts) -> None:
+        """Set self to the sum of numerator / denominator * unit at each key,
+        over (key, numerator, denominator, unit) parts with distinct keys and
+        positive denominators; zero parts are skipped.  ArithmeticError when
+        two nonzero parts carry different radical units."""
+        terms = []
+        unit = _RATIONAL
+        for key, a, b, u in parts:
+            if not a:
+                continue
+            if terms and u != unit:
+                raise ArithmeticError("coefficients carry different radical units")
+            terms.append((key, a, b))
+            unit = u
+        den = math.lcm(*[b for _, _, b in terms])
+        r = self._reduced({key: a * (den // b) for key, a, b in terms}, den, unit)
+        self._num, self._den, self._unit = r._num, r._den, r._unit
 
     @property
     def is_zero(self) -> bool:
@@ -116,15 +148,11 @@ class _IntegerForm:
         if self._unit != other._unit:
             raise ArithmeticError("cannot add terms with different radical units")
         d1, d2 = self._den, other._den
-        if d1 == d2:
-            out = accumulate(dict(self._num), other._num.items())
-        else:
-            g = math.gcd(d1, d2)
-            a, b = d2 // g, d1 // g
-            out = {e: c * a for e, c in self._num.items()}
-            accumulate(out, [(e, c * b) for e, c in other._num.items()])
-            d1 *= a
-        return self._reduced(out, d1, self._unit)
+        g = math.gcd(d1, d2)
+        a, b = d2 // g, d1 // g
+        out = {e: c * a for e, c in self._num.items()}
+        accumulate(out, [(e, c * b) for e, c in other._num.items()])
+        return self._reduced(out, d1 * a, self._unit)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -133,8 +161,6 @@ class _IntegerForm:
 
     def scaled(self, c: ScalarLike):
         a, b, u = _split(c)
-        if not a or not self._num:
-            return self._ZERO
         k, unit = _unit_mul(self._unit, u)
         a *= k
         return self._reduced({e: p * a for e, p in self._num.items()}, self._den * b, unit)
@@ -149,21 +175,10 @@ class LaurentPoly(_IntegerForm):
     __slots__ = ()
 
     def __init__(self, coeffs: dict[int, ScalarLike] | None = None):
-        terms: list[tuple[int, int, int]] = []
-        unit = _RATIONAL
-        for e, c in (coeffs or {}).items():
-            a, b, u = _split(c)
-            if not a:
-                continue
-            if terms and u != unit:
-                raise ArithmeticError("coefficients carry different radical units")
-            terms.append((e, a, b))
-            unit = u
-        # over the lcm of reduced denominators the numerators share no factor
-        den = math.lcm(*(b for _, _, b in terms))
-        self._num = {e: a * (den // b) for e, a, b in terms}
-        self._den = den
-        self._unit = unit
+        """TypeError unless every exponent is an int and every coefficient
+        an int, a Fraction or a RadicalScalar.  ArithmeticError when two
+        nonzero coefficients carry different radical units."""
+        self._build((_exponent(e), *_split(c)) for e, c in (coeffs or {}).items())
 
     @classmethod
     def zero(cls) -> LaurentPoly:
@@ -179,6 +194,7 @@ class LaurentPoly(_IntegerForm):
 
     @classmethod
     def monomial(cls, exponent: int, c: ScalarLike = 1) -> LaurentPoly:
+        exponent = _exponent(exponent)
         a, b, unit = _split(c)
         return cls._raw({exponent: a}, b, unit) if a else _ZERO_POLY
 
@@ -208,11 +224,8 @@ class LaurentPoly(_IntegerForm):
     def __mul__(self, other: LaurentPoly | ScalarLike) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return self.scaled(other)
-        if not self._num or not other._num:
-            return _ZERO_POLY
         k, unit = _unit_mul(self._unit, other._unit)
         a = self._num if k == 1 else {e: c * k for e, c in self._num.items()}
-        # a product of nonzero integers is nonzero, so every term is kept
         terms = [(e1 + e2, c1 * c2) for e1, c1 in a.items() for e2, c2 in other._num.items()]
         return LaurentPoly._reduced(accumulate({}, terms), self._den * other._den, unit)
 
@@ -220,14 +233,16 @@ class LaurentPoly(_IntegerForm):
         return self.scaled(other)
 
     def shifted(self, d: int) -> LaurentPoly:
-        """Multiply by y^d (shift every exponent by d)."""
+        """Multiply by y^d (shift every exponent by d); TypeError unless d is an int."""
+        if not isinstance(d, int):
+            raise TypeError(f"not an int exponent: {d!r}")
         if d == 0:
             return self
         return LaurentPoly._raw({e + d: c for e, c in self._num.items()}, self._den, self._unit)
 
     def derivative(self) -> LaurentPoly:
         """Termwise d/dy, valid for negative exponents too."""
-        out = {e - 1: c * e for e, c in self._num.items() if e}
+        out = {e - 1: c * e for e, c in self._num.items()}
         return LaurentPoly._reduced(out, self._den, self._unit)
 
     def __str__(self) -> str:
@@ -281,7 +296,7 @@ class WeightedFunction:
         # over the denominator 2b*den, with s = a/b: -P/2 contributes -c*b at
         # e, and P' + (s/y)P contributes 2c*(e*b + a) at e-1
         out = {e: -c * b for e, c in p._num.items()}
-        accumulate(out, [(e - 1, 2 * c * t) for e, c in p._num.items() if (t := e * b + a)])
+        accumulate(out, [(e - 1, 2 * c * (e * b + a)) for e, c in p._num.items()])
         return WeightedFunction(self.s, LaurentPoly._reduced(out, 2 * b * p._den, p._unit))
 
     def jet(self, order: int) -> tuple[WeightedFunction, ...]:
@@ -384,24 +399,15 @@ class DiffOp(_IntegerForm):
         LaurentPoly: no float or bare number enters the exact core.
         ArithmeticError when two nonzero coefficients carry different
         radical units."""
-        parts: list[tuple[int, LaurentPoly]] = []
-        unit = _RATIONAL
-        for k, p in (terms or {}).items():
+        terms = terms or {}
+        for k, p in terms.items():
             if not isinstance(k, int) or not isinstance(p, LaurentPoly):
                 raise TypeError(f"not an int order and a LaurentPoly: {k!r}: {p!r}")
             if k < 0:
                 raise ValueError("derivative order must be non-negative")
-            if not p._num:
-                continue
-            if parts and p._unit != unit:
-                raise ArithmeticError("coefficients carry different radical units")
-            parts.append((k, p))
-            unit = p._unit
-        # each coefficient is reduced, so over the lcm the numerators share no factor
-        den = math.lcm(*(p._den for _, p in parts))
-        self._num = {(k, e): c * (den // p._den) for k, p in parts for e, c in p._num.items()}
-        self._den = den
-        self._unit = unit
+        self._build(
+            ((k, e), c, p._den, p._unit) for k, p in terms.items() for e, c in p._num.items()
+        )
 
     @classmethod
     def zero(cls) -> DiffOp:
@@ -413,12 +419,12 @@ class DiffOp(_IntegerForm):
 
     @classmethod
     def multiplication(cls, poly: LaurentPoly) -> DiffOp:
-        if not poly:
-            return _ZERO_OP
         return cls._raw({(0, e): c for e, c in poly._num.items()}, poly._den, poly._unit)
 
     @classmethod
     def derivative(cls, order: int = 1) -> DiffOp:
+        if not isinstance(order, int):
+            raise TypeError(f"not an int order: {order!r}")
         if order < 0:
             raise ValueError("derivative order must be non-negative")
         return cls._raw({(order, 0): 1}, 1, _RATIONAL)
@@ -452,8 +458,6 @@ class DiffOp(_IntegerForm):
         jet = [f] if isinstance(f, WeightedFunction) else list(f)
         s = jet[0].s
         p0 = jet[0].poly
-        if not self._num or not p0._num:
-            return WeightedFunction(s, _ZERO_POLY)
         top = self.max_order
         while len(jet) <= top:
             jet.append(jet[-1].derivative())
@@ -470,7 +474,6 @@ class DiffOp(_IntegerForm):
             for e2, c2 in g:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-        out = {e: c for e, c in out.items() if c}
         return WeightedFunction(s, LaurentPoly._reduced(out, self._den * den, unit))
 
     def compose(self, other: DiffOp) -> DiffOp:
@@ -500,8 +503,6 @@ class DiffOp(_IntegerForm):
             elif u != unit:
                 raise ArithmeticError("cannot add operators with different radical units")
             work.append((sign * k, a._den * b._den, a._num.items(), b._num.items()))
-        if not work:
-            return _ZERO_OP
         den = math.lcm(*[d for _, d, _, _ in work])
         comb = math.comb
         out: dict[tuple[int, int], int] = {}
@@ -525,7 +526,6 @@ class DiffOp(_IntegerForm):
                             break
                         key = (o - i, e - i)
                         out[key] = get(key, 0) + comb(j, i) * c
-        out = {key: c for key, c in out.items() if c}
         return DiffOp._reduced(out, den, unit)
 
     def __str__(self) -> str:

@@ -11,9 +11,12 @@ Each constructor writes its operator as integer numerators keyed by
 (order, exponent) over one denominator and one radical unit, and ladder
 constructors fold their scalar radical prefactor into that unit; the radical
 cancellations of the parameter-shifted commutator then happen through
-ordinary multiplication.  Composition, the commutator and the composed
-shifted commutator are one Leibniz loop over term pairs,
-``DiffOp._leibniz``, which checks the radical unit once per pair.
+ordinary multiplication.  The numerators go straight to ``DiffOp._reduced``,
+the normal-form gate, which drops those that vanish at the given parameters:
+the -v/2, v/2 and -4v/y terms at v = 0 and the bracket terms at s = +-1/2.
+Composition, the commutator and the composed shifted commutator are one
+Leibniz loop over term pairs, ``DiffOp._leibniz``, which checks the radical
+unit once per pair.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import enum
 from fractions import Fraction
 
 from .functions import DiffOp
-from .scalars import _RATIONAL, ZERO, RadicalScalar, Unit, _rational, _sqrt_unit, _unit_mul
+from .scalars import _RATIONAL, ZERO, RadicalScalar, _rational, _sqrt_unit, _unit_mul
 
 
 class UndefinedOperatorError(ZeroDivisionError):
@@ -51,12 +54,6 @@ def _ratio(x: Fraction | int) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _op(num: dict[tuple[int, int], int], den: int, unit: Unit) -> DiffOp:
-    """The operator sum of num[k, e] / den * unit * y^e d^k/dy^k in normal
-    form; zero numerators are dropped."""
-    return DiffOp._reduced({key: c for key, c in num.items() if c}, den, unit)
-
-
 def _ladder(sigma: int, s: Fraction, v: Fraction | int) -> DiffOp:
     """sqrt((s - sigma)/s) * [sigma(2s - sigma) d/dy + s(2s - sigma)/y - v/2].
 
@@ -72,7 +69,7 @@ def _ladder(sigma: int, s: Fraction, v: Fraction | int) -> DiffOp:
     k, unit = _sqrt_unit(p * a)
     c, e = _ratio(v)
     t = 2 * a - sigma * b
-    return _op(
+    return DiffOp._reduced(
         {(1, 0): sigma * t * 2 * b * e * k, (0, -1): a * t * 2 * e * k, (0, 0): -c * b * b * k},
         2 * b * b * e * abs(a),
         unit,
@@ -108,7 +105,7 @@ def schrodinger_diff(s: Fraction, v: Fraction | int) -> DiffOp:
     c, e = _ratio(v)
     # over 4b^2e, with s = a/b and v = c/e
     d = 4 * b * b * e
-    return _op(
+    return DiffOp._reduced(
         {(2, 1): d, (1, 0): d, (0, -1): -4 * a * a * e, (0, 1): -b * b * e, (0, 0): 2 * b * b * c},
         d,
         _RATIONAL,
@@ -129,13 +126,11 @@ def k0_prime_simplified(s: Fraction, v: Fraction | int) -> DiffOp:
     The zero operator exactly at s = 0.
     """
     s = _rational(s)
-    if s == 0:
-        return DiffOp.zero()
     a, b = s.numerator, s.denominator
     c, e = _ratio(v)
     # over b^3e, with s = a/b and v = c/e
     m = -8 * a * b * b * e
-    return _op(
+    return DiffOp._reduced(
         {(2, 0): m, (1, -1): m, (0, -2): 8 * a**3 * e, (0, -1): -4 * a * b * b * c},
         b**3 * e,
         _RATIONAL,

@@ -35,9 +35,11 @@ class NotRationalError(ArithmeticError):
 def accumulate(out: dict, items) -> dict:
     """Add each (key, value) of items into out, dropping keys that cancel to 0.
 
-    The one accumulation loop of the exact algebra: scalars, polynomials and
-    operators all keep their normal form (no zero stored) through it.  Values
-    must be nonzero; items is a dict view or a list.  Returns out.
+    The one accumulation loop for sums of terms: LaurentPoly addition and
+    products, the weighted derivative, and the reference engine's operator
+    sums.  A zero value at a new key is stored as it is; the integer forms
+    drop it in their normal-form gate, ``_IntegerForm._reduced``.  items is
+    a dict view or a list.  Returns out.
     """
     for k, x in items:
         t = out.get(k)

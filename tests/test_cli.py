@@ -438,7 +438,7 @@ GOLDEN_RUNS = [
     (["verify", "--n-max", "12", "--v-max", "40"], "verify_n12_v40.txt", 0),
     *(
         (["cell", "--verbose", "--n", str(n), "--v", str(v)], f"cell_verbose_{n}_{v}.txt", 0)
-        for n, v in [(3, 11), (2, 3), (4, 2), (0, 1), (0, 2), (1, 2), (5, 40)]
+        for n, v in [(3, 11), (2, 3), (4, 2), (0, 1), (0, 2), (1, 2), (5, 40), (1, 0), (0, 0)]
     ),
 ]
 

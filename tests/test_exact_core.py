@@ -1,5 +1,5 @@
 """No floating point in the exact core, checked on the source itself and
-at the DiffOp constructor.
+at the LaurentPoly and DiffOp constructors.
 
 plot.py, cli.py and model.physical_map are the documented float sites: the
 first two draw and print, the last maps physical constants.  Everything
@@ -9,6 +9,8 @@ else computes with ints, Fractions and RadicalScalars only.
 from __future__ import annotations
 
 import ast
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -100,6 +102,34 @@ def test_core_module_uses_no_float(module):
 def test_diff_op_refuses_a_non_int_order_or_non_polynomial_coefficient(terms):
     with pytest.raises(TypeError):
         DiffOp(terms)
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: LaurentPoly({0.5: 1}), "0.5"),
+        (lambda: LaurentPoly({Fraction(1, 2): 1}), "Fraction(1, 2)"),
+        (lambda: LaurentPoly({"a": 1}), "'a'"),
+        (lambda: LaurentPoly({0: 1, 2.0: 0}), "2.0"),
+        (lambda: LaurentPoly.monomial(1.5, 2), "1.5"),
+        (lambda: LaurentPoly.monomial(0.5, 0), "0.5"),
+        (lambda: LaurentPoly.one().shifted(0.25), "0.25"),
+        (lambda: DiffOp.derivative(1.5), "1.5"),
+    ],
+    ids=[
+        "float",
+        "fraction",
+        "str",
+        "float-zero-part",
+        "monomial",
+        "monomial-zero",
+        "shifted",
+        "derivative",
+    ],
+)
+def test_non_int_exponent_or_order_is_refused(build, shown):
+    with pytest.raises(TypeError, match=re.escape(shown)):
+        build()
 
 
 def test_diff_op_keeps_int_orders_and_polynomial_coefficients():

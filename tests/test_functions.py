@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsealg import Comparison, LaurentPoly, RadicalScalar, WeightedFunction, sqrt_of_rational
+from morsealg import (
+    Comparison,
+    LaurentPoly,
+    RadicalScalar,
+    WeightedFunction,
+    k_minus,
+    laguerre,
+    make_state,
+    schrodinger_diff,
+    sqrt_of_rational,
+)
 
 from _numeric import poly_value, weighted_value
 from _strategies import diff_ops, laurent_polys, shared_unit, weighted_functions
@@ -174,6 +184,31 @@ def _assert_normal_form(p: LaurentPoly) -> None:
 
 
 SQRT2 = sqrt_of_rational(2)
+
+
+def test_constructor_skips_zero_coefficients():
+    assert LaurentPoly({0: 0, 1: 2}) == LaurentPoly.monomial(1, 2)
+    zero = LaurentPoly({0: 0, 3: Fraction(0), -1: 0 * SQRT2})
+    assert zero == LaurentPoly.zero()
+    for p in [LaurentPoly({0: 0, 1: 2}), zero, LaurentPoly({0: Fraction(2, 4), 1: Fraction(4, 6)})]:
+        _assert_normal_form(p)
+
+
+@pytest.mark.parametrize("n, v", [(0, 0), (1, 0), (0, 3), (0, 4), (2, 9), (3, 0)])
+def test_state_paths_are_in_normal_form(n, v):
+    f = make_state(n, v).wavefunction
+    jet = f.jet(2)
+    polys = [laguerre(n, 2 * f.s), *(g.poly for g in jet)]
+    annihilated = schrodinger_diff(f.s, v).apply(jet).poly
+    assert annihilated.is_zero
+    polys.append(annihilated)
+    if n == 0 and f.s > 0:
+        # the lowering operator carries a radical unit and kills the ground state
+        lowered = k_minus(f.s, v).apply(f).poly
+        assert lowered.is_zero
+        polys.append(lowered)
+    for p in polys:
+        _assert_normal_form(p)
 
 
 @settings(max_examples=60, deadline=None)

@@ -123,6 +123,30 @@ def test_operator_results_are_in_normal_form(a, b, c, q):
         _assert_normal_form(op)
 
 
+def test_constructor_skips_zero_coefficients():
+    op = DiffOp({0: LaurentPoly.zero(), 1: LaurentPoly({0: Fraction(4, 6), 2: 0})})
+    assert op == DiffOp.derivative().scaled(Fraction(2, 3))
+    for op in [op, DiffOp({0: LaurentPoly.zero()}), DiffOp({2: LaurentPoly({-1: 0, 1: 6})})]:
+        _assert_normal_form(op)
+
+
+# v = 0 zeroes the -v/2, v/2 and -4v/y numerators, s = +-1/2 the ladder
+# brackets' d/dy and 1/y numerators, s = +-1 a ladder prefactor
+@pytest.mark.parametrize("v", [0, 1, 4])
+@pytest.mark.parametrize(
+    "s", [Fraction(-1, 2), Fraction(1, 2), -1, 1, Fraction(-3, 2), Fraction(5, 2), 0]
+)
+def test_gate_results_are_in_normal_form(s, v):
+    s = Fraction(s)
+    ops = [schrodinger_diff(s, v), k0_diff(s, v), k0_prime_simplified(s, v)]
+    if s:
+        ops += [k_plus(s, v), k_minus(s, v), naive_commutator(s, v)]
+    for op in ops:
+        _assert_normal_form(op)
+    if s == -1 or s == 1:
+        assert (k_plus if s == 1 else k_minus)(s, v).is_zero
+
+
 def test_lowering_construction_at_half():
     op = k_minus(Fraction(1, 2), 2)
     r3 = sqrt_of_rational(3)

@@ -57,6 +57,27 @@ def test_only_functions_and_scalars_read_the_integer_form(path):
     assert reads == []
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names tree's import statements bind that no other line reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+)
+def test_every_import_is_used(path):
+    assert _unused_imports(ast.parse((PACKAGE / path).read_text(encoding="utf-8"))) == []
+
+
 @pytest.mark.parametrize("n, v", [(0, 0), (0, 1), (3, 7), (5, 3), (150, 300)])
 def test_state_carries_the_weight_exponent_once(n, v):
     state = make_state(n, v)
