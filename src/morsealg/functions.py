@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import _ONE, _RATIONAL, ZERO, RadicalScalar, Unit, _rational, _unit_mul, accumulate
@@ -268,22 +268,30 @@ _ONE_POLY = LaurentPoly._raw({0: 1}, 1, _RATIONAL)
 LaurentPoly._ZERO = _ZERO_POLY
 
 
-@dataclass(frozen=True)
-class WeightedFunction:
+class WeightedFunction(namedtuple("WeightedFunction", "s poly")):
     """The function exp(-y/2) * y^s * poly(y) on y in (0, inf).
 
     Two weighted functions describe the same mathematical object whenever
     their s values differ by an integer that has been absorbed into the
-    Laurent part; :meth:`compare` performs that alignment.
+    Laurent part; :meth:`compare` performs that alignment.  An immutable
+    NamedTuple: it equals the plain tuple (s, poly), and the check on s
+    holds for the constructor and for _replace alike.
     """
 
+    __slots__ = ()
     s: Fraction
     poly: LaurentPoly
 
-    def __post_init__(self):
+    def __new__(cls, s: Fraction | int, poly: LaurentPoly) -> WeightedFunction:
         # TypeError unless s is an int or a Fraction; an int becomes a Fraction
-        if type(self.s) is not Fraction:
-            object.__setattr__(self, "s", _rational(self.s))
+        if type(s) is not Fraction:
+            s = _rational(s)
+        return tuple.__new__(cls, (s, poly))
+
+    @classmethod
+    def _make(cls, iterable) -> WeightedFunction:
+        # _replace builds its copy through _make, so through the check on s
+        return cls(*iterable)
 
     @property
     def is_zero(self) -> bool:

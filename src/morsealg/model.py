@@ -10,9 +10,9 @@ command reads, only the tests and the benchmark harness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .functions import LaurentPoly, WeightedFunction
 from .scalars import _RATIONAL, RadicalScalar, _rational, sqrt_of_rational
@@ -22,9 +22,11 @@ class NonBoundError(ValueError):
     """The requested level is not bound for the given physical constants."""
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Well depth, inverse width, particle mass and hbar, in consistent units."""
+class PhysicalParams(NamedTuple):
+    """Well depth, inverse width, particle mass and hbar, in consistent units.
+
+    An immutable NamedTuple: it equals the plain tuple of its fields.
+    """
 
     v0: float
     beta: float
@@ -32,14 +34,14 @@ class PhysicalParams:
     hbar: float
 
 
-@dataclass(frozen=True)
-class MorseState:
+class MorseState(NamedTuple):
     """A grid state: unnormalized wavefunction and normalization.
 
     The wavefunction is exp(-y/2) * y^s * L_n^{2s}(y) without the
     normalization factor, and carries s = weight_exponent(n, v) as its
     weight; ``normalization`` is None on cells where the defining square
-    root is zero or imaginary (non-normalizable cells).
+    root is zero or imaginary (non-normalizable cells).  An immutable
+    NamedTuple: it equals the plain tuple (wavefunction, normalization).
     """
 
     wavefunction: WeightedFunction

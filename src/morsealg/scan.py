@@ -28,7 +28,6 @@ import json
 import operator
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO, NamedTuple, TypeVar
 
@@ -84,9 +83,11 @@ class CellRecord(NamedTuple):
         return self.ev3 / 2
 
 
-@dataclass(frozen=True)
-class Summary:
-    """Counts per classification and equality outcome, plus mismatch cells."""
+class Summary(NamedTuple):
+    """Counts per classification and equality outcome, plus mismatch cells.
+
+    An immutable NamedTuple, like CellRecord.
+    """
 
     total: int
     op_class_counts: dict[str, int]
@@ -96,8 +97,10 @@ class Summary:
     mismatches: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
+    """A scanned grid n <= n_max, v <= v_max: its cells in (n, v) order and
+    their summary; an immutable NamedTuple, like CellRecord."""
+
     n_max: int
     v_max: int
     cells: tuple[CellRecord, ...]
@@ -519,8 +522,10 @@ def read_report(path) -> ScanReport:
     return ScanReport(n_max, v_max, cells, summarize(cells))
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
+    """One check of the verify suite: its name, verdict and detail text;
+    an immutable NamedTuple, like CellRecord."""
+
     name: str
     passed: bool
     detail: str

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .functions import Comparison, WeightedFunction
 from .model import normalization, wavefunction
@@ -45,12 +45,12 @@ class LadderOutcome(enum.Enum):
     OUT_OF_DOMAIN = "OutOfDomain"
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     """An extracted eigenvalue plus how it was obtained.
 
     Proper means result = value * state exactly; TrivialZero means the
-    applied operator returned the zero function (and value is 0).
+    applied operator returned the zero function (and value is 0).  An
+    immutable NamedTuple: it equals the plain tuple (value, status).
     """
 
     value: RadicalScalar

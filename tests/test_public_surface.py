@@ -5,7 +5,9 @@ from __future__ import annotations
 import ast
 import importlib
 import json
-from dataclasses import fields
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,9 +15,13 @@ import pytest
 import morsealg
 from morsealg import (
     CellRecord,
+    LaurentPoly,
+    PhysicalParams,
     ScanReport,
+    WeightedFunction,
     compute_cell,
     make_state,
+    run_invariant_suite,
     summarize,
     weight_exponent,
     write_report,
@@ -81,7 +87,7 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("n, v", [(0, 0), (0, 1), (3, 7), (5, 3), (150, 300)])
 def test_state_carries_the_weight_exponent_once(n, v):
     state = make_state(n, v)
-    assert [f.name for f in fields(state)] == ["wavefunction", "normalization"]
+    assert list(state._fields) == ["wavefunction", "normalization"]
     assert state.wavefunction.s == weight_exponent(n, v)
 
 
@@ -109,6 +115,52 @@ def test_cell_record_is_immutable(field):
     cell = compute_cell(3, 7)
     with pytest.raises(AttributeError):
         setattr(cell, field, getattr(cell, field))
+
+
+def _report():
+    cells = (compute_cell(3, 7), compute_cell(3, 8))
+    return ScanReport(3, 8, cells, summarize(cells))
+
+
+# one instance of each record besides CellRecord, built as the package builds it
+RECORDS = {
+    "EigenResult": lambda: compute_cell(3, 7).ev1,
+    "PhysicalParams": lambda: PhysicalParams(1.0, 1.0, 1.0, 1.0),
+    "MorseState": lambda: make_state(3, 7),
+    "WeightedFunction": lambda: make_state(3, 7).wavefunction,
+    "Summary": lambda: _report().summary,
+    "ScanReport": _report,
+    "InvariantResult": lambda: run_invariant_suite(1, 2)[0],
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_tuples_of_their_fields(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert record == tuple(getattr(record, f) for f in record._fields)
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # every record is a NamedTuple, so no command pays for dataclasses and
+    # the inspect, ast, dis and tokenize modules it brings; -S keeps site
+    # .pth files from preloading either
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import morsealg.cli; "
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_weighted_function_takes_an_int_s_as_a_fraction():
+    poly = LaurentPoly.one()
+    for f in (WeightedFunction(2, poly), WeightedFunction(Fraction(0), poly)._replace(s=2)):
+        assert type(f.s) is Fraction and f == (Fraction(2), poly)
 
 
 @pytest.mark.parametrize("n, v", [(0, 0), (3, 7), (5, 3), (150, 300)])

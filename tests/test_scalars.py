@@ -136,6 +136,7 @@ def test_sum_of_different_units_raises():
         lambda x: DiffOp.identity().scaled(x),
         lambda x: WeightedFunction(Fraction(0), LaurentPoly.one()) * x,
         lambda x: WeightedFunction(x, LaurentPoly.one()),
+        lambda x: WeightedFunction(Fraction(0), LaurentPoly.one())._replace(s=x),
         sqrt_of_rational,
         lambda x: laguerre(2, x),
         lambda x: k_plus(x, 2),
@@ -153,10 +154,10 @@ def test_sum_of_different_units_raises():
     ],
     ids=[
         "scalar", "poly", "poly-scaled", "poly-mul", "op-scaled", "weighted-mul",
-        "weighted-s", "sqrt", "laguerre", "k_plus", "k_minus", "k_plus-v",
-        "schrodinger", "schrodinger-v", "k0_diff", "k0_diff-n", "k0_prime_simplified",
-        "k0_prime_simplified-v", "k0_prime_composed", "naive_commutator",
-        "naive_coefficient",
+        "weighted-s", "weighted-replace", "sqrt", "laguerre", "k_plus", "k_minus",
+        "k_plus-v", "schrodinger", "schrodinger-v", "k0_diff", "k0_diff-n",
+        "k0_prime_simplified", "k0_prime_simplified-v", "k0_prime_composed",
+        "naive_commutator", "naive_coefficient",
     ],
 )
 def test_exact_types_refuse_floats_and_strings(call, value):
