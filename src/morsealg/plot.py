@@ -7,8 +7,6 @@ SVG 1.1 text, byte-identical for identical reports and canvas sizes.
 
 from __future__ import annotations
 
-import functools
-
 from .operators import OpClass
 from .scan import CellRecord, ScanReport, SignClass
 
@@ -53,6 +51,9 @@ def render_plot(report: ScanReport, mode: str, path, size: int = 900) -> None:
     """Write the scatter plot of every cell; one dot per (n, v).
 
     n runs rightward, v upward from a bottom-left origin; ticks every 10.
+    Every cell must lie in the grid n <= n_max, v <= v_max, as the cells
+    of scan and read_report do: the dot coordinates are formatted once for
+    each n and v of the grid.
     """
     if mode not in _LEGENDS:
         raise ValueError(f"unknown plot mode: {mode!r}")
@@ -129,11 +130,11 @@ def render_plot(report: ScanReport, mode: str, path, size: int = 900) -> None:
     # one pass sorts the dots by color, each color's in cell order; a
     # coordinate's text is formatted once per n and once per v
     dots_of: dict[str, list[str]] = {color: [] for color, _ in _LEGENDS[mode]}
-    x_text = functools.cache(lambda n: f"{x_of(n):.2f}")
-    y_text = functools.cache(lambda v: f"{y_of(v):.2f}")
+    x_text = [f"{x_of(n):.2f}" for n in range(cols)]
+    y_text = [f"{y_of(v):.2f}" for v in range(rows)]
     r_text = f"{radius:.2f}"
     for c in report.cells:
-        dots_of[color_of(c)].append(f'<circle cx="{x_text(c.n)}" cy="{y_text(c.v)}" r="{r_text}"/>')
+        dots_of[color_of(c)].append(f'<circle cx="{x_text[c.n]}" cy="{y_text[c.v]}" r="{r_text}"/>')
     for color, dots in dots_of.items():
         if dots:
             lines.append(f'<g fill="{color}">')

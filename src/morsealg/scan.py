@@ -15,7 +15,11 @@ only through v - 2n and its two eigenvalues, so both keep one memo entry
 per diagonal v - 2n: a row whose columns after n and v equal its entry's is
 neither derived again on read nor encoded again on write, and any other
 row takes the full path and replaces the entry, so each row costs at most
-one derivation or encoding.  The ``verify`` suite visits
+one derivation or encoding.  ``read_report`` reads the rows in one walk
+over the grid positions its bounds give, so a row at its position is
+checked against the entry in one comparison and no later pass checks the
+order.  ``scan`` keeps one entry per diagonal too, so the cells of a
+diagonal share their field objects.  The ``verify`` suite visits
 each cell once: it builds the cell's record as ``scan`` does and runs its
 operator checks on the same state.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 import operator
 import os
@@ -129,6 +134,11 @@ def _record(n: int, v: int, ev1: EigenResult, ev2: EigenResult) -> CellRecord:
     )
 
 
+# CellRecord._make without its length check, for (n, v) followed by the
+# nine fields after n and v of another record, whose objects it shares
+_sharing = functools.partial(tuple.__new__, CellRecord)
+
+
 def compute_cell(n: int, v: int) -> CellRecord:
     """Classify cell (n, v) and compare its three eigenvalue computations."""
     return _record(n, v, *cell_eigenvalues(n, v))
@@ -137,29 +147,24 @@ def compute_cell(n: int, v: int) -> CellRecord:
 def summarize(cells: tuple[CellRecord, ...]) -> Summary:
     """Recount every classification; used at scan time and as a consistency check.
 
-    Members are counted by identity (list.count compares with `is` first)
-    and named by their values once, in definition order.
+    The counts run in C: members are counted by identity (list.count
+    compares with `is` first) and named by their values once, in definition
+    order.  Only the cells whose three eigenvalues are not all equal, none
+    in a correct report, are visited in Python.
     """
-    op_classes = [cell.op_class for cell in cells]
-    signs = [cell.s_sign for cell in cells]
-    proper = 0
-    trivial = 0
-    mismatches: list[tuple[int, int]] = []
-    for cell in cells:
-        if cell.all_equal:
-            if cell.op_class is OpClass.PROPER:
-                proper += 1
-            else:
-                trivial += 1
-        else:
-            mismatches.append((cell.n, cell.v))
+    # op_class, s_sign and all_equal are fields 4, 3 and 10
+    op_classes = list(map(operator.itemgetter(4), cells))
+    signs = list(map(operator.itemgetter(3), cells))
+    unequal = list(itertools.filterfalse(operator.itemgetter(10), cells))
+    proper = op_classes.count(OpClass.PROPER)
+    unequal_proper = [c.op_class for c in unequal].count(OpClass.PROPER)
     return Summary(
         total=len(cells),
         op_class_counts={c.value: op_classes.count(c) for c in OpClass},
         sign_counts={c.value: signs.count(c) for c in SignClass},
-        all_equal_proper=proper,
-        all_equal_trivial=trivial,
-        mismatches=tuple(mismatches),
+        all_equal_proper=proper - unequal_proper,
+        all_equal_trivial=len(cells) - proper - len(unequal) + unequal_proper,
+        mismatches=tuple((c.n, c.v) for c in unequal),
     )
 
 
@@ -191,8 +196,20 @@ _Result = TypeVar("_Result")
 
 
 def _rows(ns: Sequence[int], v_max: int) -> list[list[CellRecord]]:
-    """The cells of the rows ns, one list per row, each in increasing v."""
-    return [[compute_cell(n, v) for v in range(v_max + 1)] for n in ns]
+    """The cells of the rows ns, one list per row, each in increasing v.
+
+    The fields after n and v depend on a cell only through v - 2n and its
+    eigenvalues, so a cell whose fields equal those of the first cell kept
+    on its diagonal takes that cell's field objects: the rows hold, and a
+    share pickled back from a child process sends, each diagonal's fields once.
+    """
+    kept: dict[int, tuple] = {}
+
+    def shared(cell: CellRecord) -> CellRecord:
+        fields = kept.setdefault(cell.v - 2 * cell.n, cell[2:])
+        return _sharing(cell[:2] + fields) if fields == cell[2:] else cell
+
+    return [[shared(compute_cell(n, v)) for v in range(v_max + 1)] for n in ns]
 
 
 def _in_processes(fn: Callable[[_Share], _Result], shares: Sequence[_Share]) -> list[_Result]:
@@ -323,7 +340,8 @@ def write_report(report: ScanReport, format: str, path) -> None:
     other cell is encoded through _row and replaces the entry, so a
     diagonal whose rows alternate encodes each of them, at most one _row
     per cell.  The records read_report builds share their field objects,
-    so for them the comparison ends on identity.  The JSON k0 column is
+    and so do the cells one scan process computes on a diagonal, so for
+    them the comparison ends on identity.  The JSON k0 column is
     derived only on encoding: k0 is ev3 / 2 and str(Fraction) is
     canonical, so an equal ev3 means an equal k0.  Like the 1 == True
     limit of _json_cells, the hit test holds for fields of the types _record
@@ -396,11 +414,11 @@ def _cell_from_row(
     last row on that diagonal that passed this check and to the fields
     after n and v of its cell.  tail is the row after n and v in the form
     the reader compares: the CSV text after the second comma, or the tuple
-    of JSON values.  A later row whose tail equals the entry's and whose n
-    and v are stored as write_report stores them is that cell at its own n
-    and v, and _json_cells and _csv_cells build it from the entry's fields
-    without coming here.  Every other row comes here and replaces the
-    entry, so a diagonal whose rows alternate rebuilds each of them, at
+    of JSON values.  A later row at its grid position on that diagonal
+    that stores the entry's tail, and n and v as write_report writes them,
+    is that cell, and _json_cells and _csv_cells build it from the entry's
+    fields without coming here.  Every other row comes here and replaces
+    the entry, so a diagonal whose rows alternate rebuilds each of them, at
     most once per row.
     """
     _, _, _, _, _, ev1, ev1_status, ev2, ev2_status = stored[:9]
@@ -416,71 +434,98 @@ def _cell_from_row(
     return cell
 
 
+def _grid(n_max, v_max, rows: int):
+    """The positions (n, v) of the grid n <= n_max, v <= v_max in order, or
+    None unless both bounds are non-negative ints and the grid has `rows` cells."""
+    if type(n_max) is type(v_max) is int and min(n_max, v_max) >= 0 and (n_max + 1) * (v_max + 1) == rows:
+        return itertools.product(range(n_max + 1), range(v_max + 1))
+    return None
+
+
 _json_tail = operator.itemgetter(*_COLUMNS[2:])
+# the types of a row as write_report writes it: two ints, eight strings, three bools
+_JSON_TYPES = (int, int) + (str,) * 8 + (bool,) * 3
 
 
-def _json_cells(cells: list) -> list[CellRecord]:
-    """The records of a JSON report's cells, in order.
+def _json_cells(cells: list, grid) -> tuple[list[CellRecord], bool]:
+    """The records of a JSON report's cells, in order, and whether each sat at its grid position.
 
-    Every cell must have each CSV_HEADER column, n and v must be ints and
-    the three flags bools, as write_report writes them: 1 == 1.0 == True,
-    so comparing rows, or a row tail with the read memo's, cannot tell them
-    apart.  The other columns are strings, which equal only strings.  A
-    row hits the memo when its tail, the tuple of its values after n and
-    v, equals the one remembered for its v - 2n.
+    grid gives the cells' positions (n, v) in order, as _grid does, or is
+    None.  A cell at its position is a memo hit when its n and v are ints,
+    its three flags bools and its tail, the tuple of its values after n and
+    v, equals its diagonal's entry's: 1 == 1.0 == True, so equality alone
+    cannot tell those types apart, and the other columns are strings, which
+    equal only strings.  Any other cell must be an object with each
+    CSV_HEADER column, of the types write_report writes, and is rebuilt by
+    _cell_from_row.
     """
     checked: dict[int, tuple] = {}
     records = []
-    for i, cell in enumerate(cells):
+    in_place = grid is not None
+    for i, (cell, at) in enumerate(zip(cells, grid or itertools.repeat(None))):
         try:
             n, v, tail = cell["n"], cell["v"], _json_tail(cell)
         except KeyError as e:
             raise ValueError(f"report cells[{i}] has no {e.args[0]!r} column") from None
+        except TypeError:
+            raise ValueError(f"report cells[{i}] is not an object") from None
+        known = checked.get(v - 2 * n) if (n, v) == at else None
         if (
-            type(n) is not int
-            or type(v) is not int
-            or type(tail[8]) is not bool
-            or type(tail[9]) is not bool
-            or type(tail[10]) is not bool
+            known
+            and known[0] == tail
+            and type(n) is type(v) is int
+            and type(tail[8]) is type(tail[9]) is type(tail[10]) is bool
         ):
+            records.append(_sharing(at + known[1]))
+            continue
+        if tuple(map(type, (n, v) + tail)) != _JSON_TYPES:
             raise ValueError(f"report row for cell ({n!r}, {v!r}) stores a value of the wrong type")
-        known = checked.get(v - 2 * n)
-        if known is not None and known[0] == tail:
-            records.append(CellRecord._make((n, v) + known[1]))
-        else:
-            # JSON stores the row values as they are
-            records.append(_cell_from_row(n, v, (n, v) + tail, tail, tuple, checked))
-    return records
+        in_place = in_place and (n, v) == at
+        # JSON stores the row values as they are
+        records.append(_cell_from_row(n, v, (n, v) + tail, tail, tuple, checked))
+    return records, in_place
 
 
-def _csv_cells(lines: list[str]) -> list[CellRecord]:
-    """The records of a CSV report's rows, lines[1:] (line 0 is the header).
+def _csv_cells(lines: list[str], grid) -> tuple[list[CellRecord], bool]:
+    """The records of a CSV report's rows, lines[1:] (line 0 is the header),
+    and whether each sat at its grid position.
 
-    A row must have one field per column and an integer n and v.  It hits
-    the memo when its text after the second comma equals the text
-    remembered for its v - 2n and its n and v are the canonical text of
-    the ints read (01, +1 and " 1" are not).
+    grid gives the rows' positions (n, v) in order, as _grid does, or is
+    None.  A row at its position is a memo hit when it is n and v, as
+    write_report writes them, followed by its diagonal's entry's text after
+    the second comma.  Any other row must have one field per column and an
+    integer n and v, and is rebuilt by _cell_from_row.
     """
-    # the header, line 0, has one field per column, so line i is row i
-    for i, ln in enumerate(lines):
-        if ln.count(",") != len(_COLUMNS) - 1:
-            fields = ln.count(",") + 1
-            raise ValueError(f"report row {i} has {fields} fields, not {len(_COLUMNS)}")
     checked: dict[int, tuple] = {}
     records = []
-    for i, ln in enumerate(lines[1:], 1):
+    in_place = grid is not None
+    # the header, line 0, has one field per column, so line i is row i
+    for i, (ln, at) in enumerate(zip(lines[1:], grid or itertools.repeat(None)), 1):
+        known = at and checked.get(at[1] - 2 * at[0])
+        if known and ln == f"{at[0]},{at[1]},{known[0]}":
+            records.append(_sharing(at + known[1]))
+            continue
+        if ln.count(",") != len(_COLUMNS) - 1:
+            raise ValueError(f"report row {i} has {ln.count(',') + 1} fields, not {len(_COLUMNS)}")
         n_text, v_text, tail = ln.split(",", 2)
         try:
             n, v = int(n_text), int(v_text)
         except ValueError:
             nv = f"{n_text!r}, {v_text!r}"
             raise ValueError(f"report row {i} stores n and v as {nv}, not integers") from None
-        known = checked.get(v - 2 * n)
-        if known is not None and known[0] == tail and n_text == str(n) and v_text == str(v):
-            records.append(CellRecord._make((n, v) + known[1]))
-        else:
-            records.append(_cell_from_row(n, v, tuple(ln.split(",")), tail, _csv_values, checked))
-    return records
+        in_place = in_place and (n, v) == at
+        records.append(_cell_from_row(n, v, tuple(ln.split(",")), tail, _csv_values, checked))
+    return records, in_place
+
+
+def _json_int(digits: str):
+    """A JSON integer literal as an int, or as an exact Decimal where int() refuses its length."""
+    try:
+        return int(digits)
+    except ValueError:
+        from decimal import Decimal
+
+        return Decimal(digits)
 
 
 def read_report(path) -> ScanReport:
@@ -488,37 +533,50 @@ def read_report(path) -> ScanReport:
 
     Each cell is rebuilt from n, v and its two eigenvalues, and its stored
     row must be the one write_report writes for it; the JSON summary and
-    k0 are ignored and re-derived.  A row whose tail repeats the last one
-    checked on its diagonal v - 2n is not derived again (_cell_from_row).
-    A JSON cell must have every column, a CSV row one field per column and
-    an integer n and v, and the cells must fill the (n, v) grid in order.
-    Anything else raises ValueError.
+    k0 are ignored and re-derived.  The rows are read in one walk over the
+    grid positions (n, v) that the bounds give (_grid): the JSON n_max and
+    v_max, or the n and v of the last CSV line.  A row that is what
+    write_report writes at its position for the tail last checked on its
+    diagonal v - 2n is not derived again; every other row is checked on its
+    own (_cell_from_row), and one off its position marks the grid out of
+    order.  A JSON cell must be an object with every column, each of the
+    type write_report writes, and a CSV row must have one field per column
+    and an integer n and v.  Anything else raises ValueError, the first bad
+    row's before the bounds' or the grid's.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-            cells = tuple(_json_cells(doc["cells"]))
+            try:
+                doc = json.loads(text)
+            except ValueError:
+                # a number too long for int() becomes a Decimal, so the cell
+                # that stores it fails its type check by name; a decoding
+                # error is raised again
+                doc = json.loads(text, parse_int=_json_int)
+            del text  # the walk needs only the parsed document
+            rows, n_max, v_max = doc["cells"], doc.get("n_max"), doc.get("v_max")
+            cells, in_place = _json_cells(rows, _grid(n_max, v_max, len(rows)))
             n_max, v_max = doc["n_max"], doc["v_max"]
             if type(n_max) is not int or type(v_max) is not int:
                 raise ValueError(f"report bounds are not integers: {n_max!r}, {v_max!r}")
         else:
             lines = [ln for ln in text.split("\n") if ln]
+            del text
             if not lines or lines[0] != CSV_HEADER:
                 raise ValueError("not a recognized report file")
-            cells = tuple(_csv_cells(lines))
-            # an empty CSV report fails the grid check below
-            n_max, v_max = (cells[-1].n, cells[-1].v) if cells else (0, 0)
+            try:
+                n_max, v_max = map(int, lines[-1].split(",", 2)[:2])
+            except ValueError:
+                # the last row's own check rejects it, or the grid check the header alone
+                n_max, v_max = 0, 0
+            cells, in_place = _csv_cells(lines, _grid(n_max, v_max, len(lines) - 1))
     except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError, RecursionError) as e:
         raise ValueError(f"malformed report: {type(e).__name__}: {e}") from e
-    if (
-        n_max < 0
-        or v_max < 0
-        or len(cells) != (n_max + 1) * (v_max + 1)
-        or any((c.n, c.v) != divmod(i, v_max + 1) for i, c in enumerate(cells))
-    ):
+    if not in_place:
         raise ValueError(f"report cells do not fill the grid n <= {n_max}, v <= {v_max} in order")
+    cells = tuple(cells)
     return ScanReport(n_max, v_max, cells, summarize(cells))
 
 

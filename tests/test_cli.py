@@ -196,6 +196,40 @@ def test_plot_names_a_json_cell_that_lacks_a_column(tmp_path, column):
     assert not svg.exists()
 
 
+def _ev1_as_digits(digits):
+    def corrupt(doc):
+        doc["cells"][0]["ev1"] = "EV1"
+        return json.dumps(doc).replace('"EV1"', "1" * digits)
+
+    return corrupt
+
+
+# cell 0 of the 2 x 3 grid is (0, 0); a number too long for int() is
+# read as a float
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_set_cell("ev1", 1), "report row for cell (0, 0) stores a value of the wrong type"),
+        (_set_cell("ev2", None), "report row for cell (0, 0) stores a value of the wrong type"),
+        (_set_cell("s", ["-1/2"]), "report row for cell (0, 0) stores a value of the wrong type"),
+        (_ev1_as_digits(5_000), "report row for cell (0, 0) stores a value of the wrong type"),
+        (lambda doc: doc.update(cells="abc"), "report cells[0] is not an object"),
+        (_cell_as_list, "report cells[0] is not an object"),
+    ],
+    ids=["ev1-int", "ev2-null", "s-list", "ev1-5000-digits", "cells-a-string", "cell-as-list"],
+)
+def test_plot_names_the_json_cell_that_stores_a_value_of_the_wrong_type(tmp_path, corrupt, message):
+    report, svg = tmp_path / "r.json", tmp_path / "x.svg"
+    _run(["scan", "--n-max", "1", "--v-max", "2", "--out", str(report)])
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    text = corrupt(doc)
+    report.write_text(json.dumps(doc) if text is None else text, encoding="utf-8")
+    code, _, err = _run(["plot", "--in", str(report), "--mode", "sign", "--out", str(svg)])
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not svg.exists()
+
+
 # row 2 of the 2 x 3 grid is (0, 1)
 @pytest.mark.parametrize("text", ["x", "1.0", ""])
 @pytest.mark.parametrize("field", [0, 1], ids=["n", "v"])

@@ -174,7 +174,7 @@ def test_cell_record_k0_is_half_of_ev3(n, v):
 @pytest.mark.parametrize("n, v", [(150, 300), (120, 41), (200, 407)])
 def test_read_memo_hit_builds_the_computed_record(monkeypatch, tmp_path, fmt, n, v):
     # (n - 1, v - 2) has the same v - 2n, so its row tail is the same and
-    # its derivation serves (n, v) from the memo
+    # its derivation serves (n, v), read at its own position, from the memo
     scan_module = importlib.import_module("morsealg.scan")
     cells = (compute_cell(n - 1, v - 2), compute_cell(n, v))
     path = tmp_path / f"report.{fmt}"
@@ -188,11 +188,13 @@ def test_read_memo_hit_builds_the_computed_record(monkeypatch, tmp_path, fmt, n,
         return record(*args)
 
     monkeypatch.setattr(scan_module, "_record", counting)
+    positions = iter([(n - 1, v - 2), (n, v)])
     if fmt == "json":
-        first, cell = scan_module._json_cells(json.loads(text)["cells"])
+        (first, cell), in_place = scan_module._json_cells(json.loads(text)["cells"], positions)
     else:
-        first, cell = scan_module._csv_cells(text.split("\n")[:-1])
+        (first, cell), in_place = scan_module._csv_cells(text.split("\n")[:-1], positions)
     monkeypatch.undo()
+    assert in_place
     assert derived == [(n - 1, v - 2)]
     assert type(cell) is CellRecord
     assert cell == compute_cell(n, v)

@@ -215,6 +215,19 @@ def test_workers_produce_identical_report():
     assert scan(4, 7, workers=3) == scan(4, 7)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cells_on_one_diagonal_share_their_field_objects(workers):
+    # (1, 6) and (3, 10) lie on v - 2n = 4 and in the same share of two
+    report = scan(3, 10, workers=workers)
+    assert report == scan(3, 10)
+    at = {(c.n, c.v): c for c in report.cells}
+    first, later = at[1, 6], at[3, 10]
+    assert first[2:] == later[2:]
+    assert all(a is b for a, b in zip(first[2:], later[2:]))
+    # cells on different diagonals share nothing computed
+    assert at[1, 5].s is not first.s and at[1, 5].ev1 is not first.ev1
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """Runs every share in-process; lists how many children each scan would fork."""
@@ -588,19 +601,24 @@ def _csv_prefix(rows: int) -> str:
     return "".join(_report_texts()["csv"].splitlines(keepends=True)[: rows + 1])
 
 
-def _read_or_none(text: str):
-    """read_report of a file holding text, or None when it raises ValueError."""
+def _read(text: str) -> tuple[ScanReport | None, str | None]:
+    """read_report of a file holding text, and None; or None and the message of its ValueError."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report"
         path.write_text(text, encoding="utf-8")
         try:
-            return read_report(path)
-        except ValueError:
-            return None
+            return read_report(path), None
+        except ValueError as e:
+            return None, str(e)
 
 
-def _read_row_by_row(text: str):
-    """_read_or_none with an empty read memo for every row: each row derived and checked on its own."""
+def _read_or_none(text: str):
+    """read_report of a file holding text, or None when it raises ValueError."""
+    return _read(text)[0]
+
+
+def _read_row_by_row(text: str) -> tuple[ScanReport | None, str | None]:
+    """_read with an empty read memo for every row: each row derived and checked on its own."""
     cell_from_row = scan_module._cell_from_row
     with pytest.MonkeyPatch.context() as mp:
         # a row that passes is remembered in a throwaway memo, so none hits
@@ -609,7 +627,7 @@ def _read_row_by_row(text: str):
             "_cell_from_row",
             lambda n, v, stored, tail, written, checked: cell_from_row(n, v, stored, tail, written, {}),
         )
-        return _read_or_none(text)
+        return _read(text)
 
 
 # A CSV report stores no bounds, so a prefix that ends on a row closing a
@@ -633,15 +651,51 @@ def test_corrupted_reports_are_rejected_or_read_unchanged(text):
 @given(_corrupted_reports())
 @example(_csv_prefix(1))
 def test_memo_matches_row_by_row_reads(text):
-    assert _read_or_none(text) == _read_row_by_row(text)
+    # the same report, or the same first error
+    assert _read(text) == _read_row_by_row(text)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_memo_matches_row_by_row_reads_on_the_full_grid(fmt):
     text = lzma.decompress((REPORT_FIXTURES / f"report.{fmt}.xz").read_bytes()).decode("utf-8")
-    loaded = _read_or_none(text)
-    assert loaded is not None and (loaded.n_max, loaded.v_max) == (100, 100)
-    assert loaded == _read_row_by_row(text)
+    loaded, error = _read(text)
+    assert error is None and (loaded.n_max, loaded.v_max) == (100, 100)
+    assert (loaded, error) == _read_row_by_row(text)
+
+
+# in the scan(3, 6) CSV report line 0 is the header and line i holds row i:
+# rows 4 and 5 are cells (0, 3) and (0, 4), row 12 is cell (1, 4)
+@pytest.mark.parametrize(
+    "swap, flip, error",
+    [
+        (True, False, "report cells do not fill the grid n <= 3, v <= 6 in order"),
+        # each swapped row is self-consistent, so a later bad row's error wins
+        (True, True, "inconsistent report row for cell (1, 4)"),
+        (False, True, "inconsistent report row for cell (1, 4)"),
+    ],
+)
+def test_a_bad_row_wins_over_the_grid_error(swap, flip, error):
+    lines = _report_texts()["csv"].split("\n")
+    assert lines[4].startswith("0,3,") and lines[5].startswith("0,4,")
+    assert lines[12].startswith("1,4,1/2,NonNegative,Proper,-1,Proper,-1,Proper,-1,true,")
+    if swap:
+        lines[4], lines[5] = lines[5], lines[4]
+    if flip:
+        lines[12] = lines[12].replace(",true,", ",false,", 1)
+    text = "\n".join(lines)
+    assert _read(text)[1] == error
+    assert _read(text) == _read_row_by_row(text)
+
+
+@pytest.mark.parametrize("v_max", ["6", 6.0, None])
+def test_a_bad_row_wins_over_json_bounds_of_another_type(v_max):
+    doc = json.loads(_report_texts()["json"])
+    doc["v_max"] = v_max
+    assert _read(json.dumps(doc))[1] == f"report bounds are not integers: 3, {v_max!r}"
+    doc["cells"][9]["all_equal"] = False
+    # cell 9 is (1, 2)
+    assert _read(json.dumps(doc))[1] == "inconsistent report row for cell (1, 2)"
+    assert _read(json.dumps(doc)) == _read_row_by_row(json.dumps(doc))
 
 
 def test_row_tail_depends_on_n_and_v_only_through_v_minus_2n():
@@ -852,7 +906,7 @@ def test_rows_alternating_on_one_diagonal_read_and_rewrite_unchanged(tmp_path, f
     text = path.read_text(encoding="utf-8")
     assert text == _reference_text(report, fmt)
     loaded = _read_or_none(text)
-    assert loaded == report == _read_row_by_row(text)
+    assert (loaded, None) == (report, None) == _read_row_by_row(text)
     write_report(loaded, fmt, path)
     assert path.read_text(encoding="utf-8") == text
 
