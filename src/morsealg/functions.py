@@ -25,7 +25,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .scalars import _ONE, _RATIONAL, ZERO, RadicalScalar, Unit, _rational, _unit_mul, accumulate
+from .scalars import _ONE, _RATIONAL, ZERO, RadicalScalar, Unit, _ratio, _rational, _unit_mul, accumulate
 
 ScalarLike = RadicalScalar | Fraction | int
 
@@ -35,12 +35,10 @@ def _split(c: ScalarLike) -> tuple[int, int, Unit]:
 
     TypeError unless c is an int, a Fraction or a RadicalScalar.
     """
-    if isinstance(c, int):
-        return c, 1, _RATIONAL
-    if not isinstance(c, RadicalScalar):
-        c = RadicalScalar(c)
-    q = c._q
-    return q.numerator, q.denominator, c._unit
+    if isinstance(c, RadicalScalar):
+        q = c._q
+        return q.numerator, q.denominator, c._unit
+    return *_ratio(c), _RATIONAL
 
 
 def _exponent(e: int) -> int:
@@ -340,7 +338,11 @@ class WeightedFunction(namedtuple("WeightedFunction", "s poly")):
 
     def _aligned(self, other: WeightedFunction) -> LaurentPoly | None:
         """other's Laurent part at this function's weight, the integer weight
-        gap shifted into it; None where the gap is not an integer."""
+        gap shifted into it; None where the gap is not an integer.  Taken as
+        it is where other has this function's s object, as apply's result has.
+        """
+        if other.s is self.s:
+            return other.poly
         d = other.s - self.s
         if d.denominator != 1:
             return None
@@ -384,7 +386,7 @@ class WeightedFunction(namedtuple("WeightedFunction", "s poly")):
         # c = (rb / rden * runit) / (sb / sden * sunit); a common unit cancels
         q = Fraction(rb * spoly._den, sb * rpoly._den)
         if rpoly._unit == spoly._unit:
-            return RadicalScalar(q)
+            return RadicalScalar._raw(q, _RATIONAL)
         return RadicalScalar._raw(q, rpoly._unit) / RadicalScalar._raw(_ONE, spoly._unit)
 
     def __str__(self) -> str:

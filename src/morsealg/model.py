@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .functions import LaurentPoly, WeightedFunction
-from .scalars import _RATIONAL, RadicalScalar, _rational, sqrt_of_rational
+from .scalars import _RATIONAL, RadicalScalar, _ratio, sqrt_of_rational
 
 
 class NonBoundError(ValueError):
@@ -70,8 +70,7 @@ def laguerre(n: int, alpha: Fraction | int) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    alpha = _rational(alpha)
-    p, q = alpha.numerator, alpha.denominator
+    p, q = _ratio(alpha)
     num: dict[int, int] = {}
     prod = 1  # prod_{j=k+1..n} (p + q*j), built from k=n downward
     for k in range(n, -1, -1):
@@ -104,9 +103,9 @@ def wavefunction(n: int, v: int) -> WeightedFunction:
 
     Built afresh on every call, with no normalization constant; grid passes
     that only need the wavefunction use this and let it go with the cell.
+    2s goes to laguerre as the int v - 2n - 1.
     """
-    s = weight_exponent(n, v)
-    return WeightedFunction(s, laguerre(n, 2 * s))
+    return WeightedFunction(weight_exponent(n, v), laguerre(n, v - 2 * n - 1))
 
 
 @lru_cache(maxsize=None)

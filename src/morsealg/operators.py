@@ -25,7 +25,7 @@ import enum
 from fractions import Fraction
 
 from .functions import DiffOp
-from .scalars import _RATIONAL, ZERO, RadicalScalar, _rational, _sqrt_unit, _unit_mul
+from .scalars import _RATIONAL, ZERO, RadicalScalar, _ratio, _rational, _sqrt_unit, _unit_mul
 
 
 class UndefinedOperatorError(ZeroDivisionError):
@@ -47,22 +47,19 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return DiffOp._leibniz([(1, a, b), (-1, b, a)], first=1)
 
 
-def _ratio(x: Fraction | int) -> tuple[int, int]:
-    """x as (numerator, denominator), the denominator positive; TypeError
-    unless x is an int or a Fraction."""
-    x = _rational(x)
-    return x.numerator, x.denominator
-
-
-def _ladder(sigma: int, s: Fraction, v: Fraction | int) -> DiffOp:
+def _ladder(sigma: int, s: Fraction | int, v: Fraction | int) -> DiffOp:
     """sqrt((s - sigma)/s) * [sigma(2s - sigma) d/dy + s(2s - sigma)/y - v/2].
 
     k_plus at sigma = 1 and k_minus at sigma = -1, from integer numerators:
     with s = a/b and v = c/e the bracket is over 2b^2e, and (s - sigma)/s is
     p/a with p = a - sigma*b, already in lowest terms, so the prefactor is
-    sqrt(pa)/|a| = k * unit / |a| with (k, unit) = _sqrt_unit(pa).
+    sqrt(pa)/|a| = k * unit / |a| with (k, unit) = _sqrt_unit(pa).  Both
+    are undefined at s = 0.
     """
-    a, b = s.numerator, s.denominator
+    a, b = _ratio(s)
+    if not a:
+        name = "raising" if sigma > 0 else "lowering"
+        raise UndefinedOperatorError(f"{name} operator undefined at s = 0")
     p = a - sigma * b
     if not p:
         return DiffOp.zero()
@@ -81,9 +78,6 @@ def k_minus(s: Fraction, v: Fraction | int) -> DiffOp:
 
     -sqrt((s+1)/s) * [(2s+1) d/dy - s(2s+1)/y + v/2]; undefined at s = 0.
     """
-    s = _rational(s)
-    if s == 0:
-        raise UndefinedOperatorError("lowering operator undefined at s = 0")
     return _ladder(-1, s, v)
 
 
@@ -92,16 +86,12 @@ def k_plus(s: Fraction, v: Fraction | int) -> DiffOp:
 
     sqrt((s-1)/s) * [(2s-1) d/dy + s(2s-1)/y - v/2]; undefined at s = 0.
     """
-    s = _rational(s)
-    if s == 0:
-        raise UndefinedOperatorError("raising operator undefined at s = 0")
     return _ladder(1, s, v)
 
 
 def schrodinger_diff(s: Fraction, v: Fraction | int) -> DiffOp:
     """The operator y d2/dy2 + d/dy - s^2/y - y/4 + v/2, which kills the state."""
-    s = _rational(s)
-    a, b = s.numerator, s.denominator
+    a, b = _ratio(s)
     c, e = _ratio(v)
     # over 4b^2e, with s = a/b and v = c/e
     d = 4 * b * b * e
@@ -125,8 +115,7 @@ def k0_prime_simplified(s: Fraction, v: Fraction | int) -> DiffOp:
 
     The zero operator exactly at s = 0.
     """
-    s = _rational(s)
-    a, b = s.numerator, s.denominator
+    a, b = _ratio(s)
     c, e = _ratio(v)
     # over b^3e, with s = a/b and v = c/e
     m = -8 * a * b * b * e
@@ -180,10 +169,9 @@ def naive_commutator_coefficient(s: Fraction) -> RadicalScalar:
     agrees with the closed form 2*sqrt(s^2-1)*(1-4s^2); for s < -1 complex
     square-root semantics flip the product's sign relative to that form.
     """
-    s = _rational(s)
-    if s == 0:
+    a, b = _ratio(s)
+    if not a:
         raise UndefinedOperatorError("ladder operators undefined at s = 0")
-    a, b = s.numerator, s.denominator
     # with s = a/b: sqrt((s -/+ 1)/s) = sqrt((a -/+ b)a)/|a| and
     # 2s(1 - 4s^2) = 2a(b^2 - 4a^2)/b^3; zero at s = +/-1 and s = +/-1/2
     q = 2 * (b * b - 4 * a * a)

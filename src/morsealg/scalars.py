@@ -23,9 +23,11 @@ Unit = tuple[int, int]
 _RATIONAL: Unit = (1, 0)
 
 _MAX_RADICAND = 10**6
+# the longest digit run parse reads: int()'s default limit, on every Python
+_MAX_DIGITS = 4300
 
 # one term; a denominator needs a nonzero digit, so "1/0" is malformed text
-_TERM_RE = re.compile(r"^(i\*)?(-?\d+(?:/\d*[1-9]\d*)?)(?:\*sqrt\((\d+)\))?$")
+_TERM_RE = re.compile(r"^(i\*)?(-?)(\d+)(?:/(\d*[1-9]\d*))?(?:\*sqrt\((\d+)\))?$")
 
 
 class NotRationalError(ArithmeticError):
@@ -180,6 +182,8 @@ class RadicalScalar:
         return other + (-self)
 
     def __mul__(self, other) -> RadicalScalar:
+        if type(other) is int:
+            return RadicalScalar._raw(self._q * other, self._unit) if other and self._q else ZERO
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -222,15 +226,17 @@ class RadicalScalar:
     def parse(cls, text: str) -> RadicalScalar:
         """Inverse of str(); accepts one term, e.g. '-1', '1/3*sqrt(3)', 'i*2'.
 
-        A radicand above 10**6 raises ValueError before it is factored, which
-        bounds the trial division; the eigenvalues in a report are rational.
+        ValueError, quoting at most 40 characters, for any other text, a run
+        of over 4 300 digits (before int() reads it) or a radicand above
+        10**6 (before it is factored).
         """
         m = _TERM_RE.match(text.strip())
-        if m is None:
-            raise ValueError(f"malformed scalar: {text!r}")
-        imag, q, r = m.group(1), Fraction(m.group(2)), int(m.group(3) or 1)
+        if m is None or max(map(len, m.groups(""))) > _MAX_DIGITS:
+            raise ValueError(f"malformed scalar: {text[:40]!r}{'...' if len(text) > 40 else ''}")
+        imag, sign, p, q, r = m.groups()
+        q, r = Fraction(int(sign + p), int(q or 1)), int(r or 1)
         if r > _MAX_RADICAND:
-            raise ValueError(f"radicand above {_MAX_RADICAND}: {r}")
+            raise ValueError(f"radicand above {_MAX_RADICAND}")
         if not q or not r:
             return ZERO
         if r > 1:
@@ -252,6 +258,13 @@ def _rational(value) -> Fraction:
     raise TypeError(f"not an int or a Fraction: {value!r}")
 
 
+def _ratio(x: Fraction | int) -> tuple[int, int]:
+    """x as (numerator, denominator): (x, 1) for an exact int, building no
+    Fraction; TypeError through _rational unless x is an int or a Fraction."""
+    x = x if type(x) is int else _rational(x)
+    return x.numerator, x.denominator
+
+
 def _coerce(value) -> RadicalScalar:
     """value as a scalar; NotImplemented unless an int, a Fraction or a RadicalScalar."""
     if isinstance(value, RadicalScalar):
@@ -268,12 +281,12 @@ def sqrt_of_rational(x: Fraction | int) -> RadicalScalar:
     m = 1 iff x < 0; the result squares back to x exactly.  TypeError unless
     x is an int or a Fraction.
     """
-    x = _rational(x)
-    if not x:
+    p, q = _ratio(x)
+    if not p:
         return ZERO
     # sqrt(p/q) = sqrt(p*q)/q
-    k, unit = _sqrt_unit(x.numerator * x.denominator)
-    return RadicalScalar._raw(Fraction(k, x.denominator), unit)
+    k, unit = _sqrt_unit(p * q)
+    return RadicalScalar._raw(Fraction(k, q), unit)
 
 
 ZERO = RadicalScalar._raw(_ZERO, _RATIONAL)

@@ -407,27 +407,27 @@ def _cell_from_row(
 ) -> CellRecord:
     """Rebuild cell (n, v) from its stored row and make it its diagonal's memo entry.
 
-    Every column but n, v and the two eigenvalues is derived; ValueError
-    unless written(_row(cell)), the row write_report would store for the
-    rebuilt cell, equals stored.  The columns after n and v depend on
-    (n, v) only through v - 2n, so checked maps v - 2n to the tail of the
-    last row on that diagonal that passed this check and to the fields
-    after n and v of its cell.  tail is the row after n and v in the form
-    the reader compares: the CSV text after the second comma, or the tuple
-    of JSON values.  A later row at its grid position on that diagonal
-    that stores the entry's tail, and n and v as write_report writes them,
-    is that cell, and _json_cells and _csv_cells build it from the entry's
-    fields without coming here.  Every other row comes here and replaces
-    the entry, so a diagonal whose rows alternate rebuilds each of them, at
-    most once per row.
+    Every column but n, v and the two eigenvalues is derived; ValueError,
+    naming the cell, for a malformed eigenvalue or unless
+    written(_row(cell)), the row write_report would store, equals stored.
+    The columns after n and v depend on (n, v) only through v - 2n, so
+    checked maps v - 2n to the tail of the last row on that diagonal that
+    passed this check and to the fields after n and v of its cell.  tail is
+    the row after n and v in the form the reader compares: the CSV text
+    after the second comma, or the tuple of JSON values.  A later row at
+    its grid position on that diagonal that stores the entry's tail, and n
+    and v as write_report writes them, is that cell, and _json_cells and
+    _csv_cells build it from the entry's fields without coming here.  Every
+    other row comes here and replaces the entry, so a diagonal whose rows
+    alternate rebuilds each of them, at most once per row.
     """
-    _, _, _, _, _, ev1, ev1_status, ev2, ev2_status = stored[:9]
-    cell = _record(
-        n,
-        v,
-        EigenResult(RadicalScalar.parse(ev1), EigenStatus(ev1_status)),
-        EigenResult(RadicalScalar.parse(ev2), EigenStatus(ev2_status)),
-    )
+    ev1, ev1_status, ev2, ev2_status = stored[5:9]
+    try:
+        ev1 = EigenResult(RadicalScalar.parse(ev1), EigenStatus(ev1_status))
+        ev2 = EigenResult(RadicalScalar.parse(ev2), EigenStatus(ev2_status))
+    except ValueError:
+        raise ValueError(f"report row for cell ({n}, {v}) stores a malformed eigenvalue") from None
+    cell = _record(n, v, ev1, ev2)
     if written(_row(cell)) != stored:
         raise ValueError(f"inconsistent report row for cell ({n}, {v})")
     checked[v - 2 * n] = (tail, cell[2:])
@@ -592,7 +592,7 @@ class InvariantResult(NamedTuple):
 def _invariant(name: str, failures: Sequence[tuple[int, int]], detail: str) -> InvariantResult:
     """The result of one check, naming up to five of its failing cells."""
     if failures:
-        shown = ", ".join(f"({n},{v})" for n, v in failures[:5])
+        shown = ", ".join(f"({n},{v})" for n, v in sorted(failures)[:5])
         more = "" if len(failures) <= 5 else f" and {len(failures) - 5} more"
         detail += f"; failing cells: {shown}{more}"
     return InvariantResult(name, not failures, detail)
@@ -610,44 +610,39 @@ def run_invariant_suite(n_max: int, v_max: int) -> list[InvariantResult]:
     where all radicands are non-negative, and the collapsed form of the
     unshifted commutator.  Each state is let go when its cell is done.
 
-    The cells are visited one v column at a time.  Within a column the
-    cell at n has weight s and its neighbours at n -/+ 1 have s +/- 1, so
-    each k_plus(s, v) and k_minus(s, v) is built once and serves the
-    composed and the naive form of up to three cells; the memo ends with
-    its column.  Cells and failures are listed in (n, v) order.
+    The cells are visited one v column at a time, keyed by the int
+    2s = v - 2n - 1.  Each k_plus(s, v) and k_minus(s, v) is built once per
+    column and serves up to three cells, and the collapsed form of the naive
+    commutator once per s.  Cells and failures are listed in (n, v) order.
     """
     if n_max < 0 or v_max < 0:
         raise ValueError("n_max and v_max must be non-negative")
-    columns: list[list[CellRecord]] = []
-    schro_fail: list[tuple[int, int]] = []
-    composed_fail: list[tuple[int, int]] = []
+    columns = []
+    schro_fail, composed_fail, naive_fail = [], [], []
     composed_checked = 0
-    naive_fail: list[tuple[int, int]] = []
+    expected = functools.cache(
+        lambda t: DiffOp.multiplication(LaurentPoly({-2: naive_commutator_coefficient(Fraction(t, 2))}))
+    )
     for v in range(v_max + 1):
-        plus = functools.cache(functools.partial(k_plus, v=v))
-        minus = functools.cache(functools.partial(k_minus, v=v))
-        column: list[CellRecord] = []
+        # called only within this column
+        plus = functools.cache(lambda t: k_plus(Fraction(t, 2), v))
+        minus = functools.cache(lambda t: k_minus(Fraction(t, 2), v))
+        column = []
         for n in range(n_max + 1):
             ev1, ev2, jet, shifted = cell_step(n, v)
             column.append(_record(n, v, ev1, ev2))
-            s = jet[0].s
-            if not schrodinger_diff(s, v).apply(jet).is_zero:
+            t = v - 2 * n - 1
+            if not schrodinger_diff(jet[0].s, v).apply(jet).is_zero:
                 schro_fail.append((n, v))
-            if abs(s) > 1:
+            if abs(t) > 2:
                 composed_checked += 1
-                composed = _shifted_commutator(plus(s + 1), minus(s), minus(s - 1), plus(s))
-                if composed != shifted:
+                if _shifted_commutator(plus(t + 2), minus(t), minus(t - 2), plus(t)) != shifted:
                     composed_fail.append((n, v))
-            if s != 0:
-                expected = DiffOp.multiplication(LaurentPoly({-2: naive_commutator_coefficient(s)}))
-                if commutator(plus(s), minus(s)) != expected:
-                    naive_fail.append((n, v))
+            if t and commutator(plus(t), minus(t)) != expected(t):
+                naive_fail.append((n, v))
         columns.append(column)
     # zip(*columns) gives the rows of constant n
     cells = tuple(cell for row in zip(*columns) for cell in row)
-    schro_fail.sort()
-    composed_fail.sort()
-    naive_fail.sort()
     summary = summarize(cells)
     sign_fail = [
         (c.n, c.v)

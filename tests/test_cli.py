@@ -230,6 +230,32 @@ def test_plot_names_the_json_cell_that_stores_a_value_of_the_wrong_type(tmp_path
     assert not svg.exists()
 
 
+# field 5 of a row is ev1 and field 6 its status; row 1 is cell (0, 0)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "field, text",
+    [(5, "1" * 5000), (5, "1/" + "3" * 5000), (5, "1*sqrt(" + "7" * 5000 + ")"), (5, "abc"), (6, "Bogus")],
+    ids=["ev1-5000-digits", "denominator-5000-digits", "radicand-5000-digits", "ev1-abc", "status-bogus"],
+)
+def test_plot_names_the_cell_that_stores_a_malformed_eigenvalue(tmp_path, fmt, field, text):
+    report, svg = tmp_path / f"r.{fmt}", tmp_path / "x.svg"
+    _run(["scan", "--n-max", "1", "--v-max", "2", "--format", fmt, "--out", str(report)])
+    if fmt == "json":
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        doc["cells"][0][CSV_HEADER.split(",")[field]] = text
+        report.write_text(json.dumps(doc), encoding="utf-8")
+    else:
+        lines = report.read_text(encoding="utf-8").splitlines()
+        row = lines[1].split(",")
+        row[field] = text
+        lines[1] = ",".join(row)
+        report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = _run(["plot", "--in", str(report), "--mode", "sign", "--out", str(svg)])
+    assert code == 2
+    assert err == "error: report row for cell (0, 0) stores a malformed eigenvalue\n"
+    assert not svg.exists()
+
+
 # row 2 of the 2 x 3 grid is (0, 1)
 @pytest.mark.parametrize("text", ["x", "1.0", ""])
 @pytest.mark.parametrize("field", [0, 1], ids=["n", "v"])

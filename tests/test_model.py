@@ -22,6 +22,7 @@ from morsealg import (
     sqrt_of_rational,
     weight_exponent,
 )
+from morsealg.model import wavefunction
 
 
 def test_quantum_numbers_examples():
@@ -54,6 +55,21 @@ def test_laguerre_examples():
 def test_laguerre_rejects_negative_degree():
     with pytest.raises(ValueError):
         laguerre(-1, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(101, 160), st.integers(-321, 160))
+def test_laguerre_of_an_int_equals_laguerre_of_its_fraction(n, k):
+    # the int path builds no Fraction; beyond the grid, 2s = v - 2n - 1
+    # spans -2n - 1 .. v - 1, and so does k
+    assert laguerre(n, k) == laguerre(n, Fraction(k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(101, 160), st.integers(101, 160))
+def test_wavefunction_takes_2s_as_an_int(n, v):
+    s = weight_exponent(n, v)
+    assert wavefunction(n, v) == (s, laguerre(n, 2 * s))
 
 
 @settings(max_examples=80, deadline=None)

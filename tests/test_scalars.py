@@ -27,7 +27,7 @@ from morsealg import (
     schrodinger_diff,
     sqrt_of_rational,
 )
-from morsealg.scalars import _sqrt_unit, accumulate
+from morsealg.scalars import _ratio, _sqrt_unit, accumulate
 
 from _numeric import to_complex
 from _strategies import nonzero_fractions, radical_scalars, shared_unit, small_fractions
@@ -151,13 +151,14 @@ def test_sum_of_different_units_raises():
         lambda x: k0_prime_composed(x, 2),
         lambda x: naive_commutator(x, 2),
         naive_commutator_coefficient,
+        _ratio,
     ],
     ids=[
         "scalar", "poly", "poly-scaled", "poly-mul", "op-scaled", "weighted-mul",
         "weighted-s", "weighted-replace", "sqrt", "laguerre", "k_plus", "k_minus",
         "k_plus-v", "schrodinger", "schrodinger-v", "k0_diff", "k0_diff-n",
         "k0_prime_simplified", "k0_prime_simplified-v", "k0_prime_composed",
-        "naive_commutator", "naive_coefficient",
+        "naive_commutator", "naive_coefficient", "ratio",
     ],
 )
 def test_exact_types_refuse_floats_and_strings(call, value):
@@ -216,6 +217,41 @@ def test_parse_rejects_oversized_radicand_before_factoring():
     with pytest.raises(ValueError, match="radicand"):
         RadicalScalar.parse("1*sqrt(1000000000000000000000007)")  # a 25-digit prime
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 4301, "-" + "1" * 4301, "1/" + "3" * 4301, "2*sqrt(" + "1" * 4301 + ")", "i*" + "9" * 10**5],
+    ids=["numerator", "negative", "denominator", "radicand", "imaginary"],
+)
+def test_parse_refuses_a_digit_run_over_4300_digits_and_caps_the_echo(text):
+    with pytest.raises(ValueError) as raised:
+        RadicalScalar.parse(text)
+    message = str(raised.value)
+    assert message == f"malformed scalar: {text[:40]!r}..."
+    assert len(message) < 80
+
+
+def test_parse_reads_4300_digit_runs():
+    p, q = int("7" * 4300), int("3" * 4299 + "1")
+    assert RadicalScalar.parse(f"-{p}/{q}*sqrt({'0' * 4299}2)") == -Fraction(p, q) * sqrt_of_rational(2)
+
+
+@pytest.mark.parametrize("t", [0, 1, -1, 2, 10**6, -(10**30)])
+def test_ratio_takes_an_int_apart_without_a_fraction(t):
+    assert _ratio(t) == (t, 1) and type(_ratio(t)[0]) is int
+    assert _ratio(Fraction(t, 6)) == (Fraction(t, 6).numerator, Fraction(t, 6).denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(radical_scalars() | st.just(RadicalScalar(0)), st.integers(-10**6, 10**6) | st.just(0))
+def test_mul_by_an_int_matches_mul_by_its_fraction(a, k):
+    # the int fast path of __mul__ against the general path through _coerce
+    expected = a * Fraction(k)
+    for got in (a * k, k * a):
+        assert got == expected and got.terms == expected.terms
+        assert got._unit == expected._unit
+    assert (a * k).is_zero == (not a or not k)
 
 
 @settings(max_examples=150, deadline=None)

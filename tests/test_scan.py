@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import cProfile
 import functools
 import importlib
 import json
 import lzma
 import os
+import pstats
 import random
 import signal
 import tempfile
@@ -47,6 +49,7 @@ from morsealg import (
 )
 from morsealg.cli import run as cli_run
 from morsealg.scan import _row
+from morsealg.spectral import cell_step
 
 from _counting import count_calls, count_derivatives
 from _reference import cell_eigenvalues_reference
@@ -129,6 +132,33 @@ def test_cell_matches_the_reference_path_beyond_the_grid(n, v):
     cell = compute_cell(n, v)
     assert (cell.ev1, cell.ev2) == cell_eigenvalues_reference(n, v)
     assert cell.all_equal
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(101, 160), st.integers(101, 160))
+def test_cell_step_matches_the_reference_beyond_the_grid(n, v):
+    # the int Laguerre parameter, the shared weight object and the int
+    # doubling of ev2 against the reference bodies, off the 100 x 100 grid
+    ev1, ev2, _, _ = cell_step(n, v)
+    try:
+        assert (ev1, ev2) == cell_eigenvalues_reference(n, v)
+    finally:
+        make_state.cache_clear()
+
+
+def test_cell_step_makes_at_most_four_fractions():
+    # a cell keeps its weight s and its two eigenvalues; ev2 is doubled from
+    # one more, so no other Fraction is built (fewer where Fraction
+    # arithmetic bypasses __new__, as from Python 3.12 on)
+    cells = [(n, v) for n in range(7) for v in range(31)]
+    profile = cProfile.Profile()
+    profile.runcall(lambda: [cell_step(n, v) for n, v in cells])
+    made = sum(
+        stat[1]
+        for (path, _, name), stat in pstats.Stats(profile).stats.items()
+        if name == "__new__" and path.endswith("fractions.py")
+    )
+    assert 0 < made <= 4 * len(cells)
 
 
 @pytest.mark.parametrize("n,v", [(1, 0), (2, 9), (5, 30), (30, 30), (3, 7), (0, 4)])
@@ -734,7 +764,8 @@ def test_read_report_rejects_an_eigenvalue_sum(tmp_path, capsys, fmt):
     with pytest.raises(ValueError):
         read_report(path)
     code = cli_run(["plot", "--in", str(path), "--mode", "sign", "--out", str(tmp_path / "x.svg")])
-    assert code == 2 and capsys.readouterr().err.startswith("error: malformed scalar")
+    err = capsys.readouterr().err
+    assert code == 2 and err == "error: report row for cell (0, 2) stores a malformed eigenvalue\n"
 
 
 # cell (0, 2) moved to (-1, 0) keeps v - 2n = 2, so every column after n and
@@ -1134,6 +1165,18 @@ def test_invariant_suite_builds_and_differentiates_each_state_once():
     assert d.call_count == 1414
     assert simplified.call_count == 707
     assert make_state.cache_info().currsize == 0
+
+
+def test_invariant_suite_builds_each_collapsed_commutator_once_per_s():
+    # the expected 1/y^2 form depends on s alone, so each distinct s != 0
+    # of the grid builds it once; each cell still composes its own commutator
+    with contextlib.ExitStack() as stack:
+        coefficient = count_calls(stack, naive_commutator_coefficient)
+        results = run_invariant_suite(6, 30)
+    assert all(r.passed for r in results)
+    twice_s = {v - 2 * n - 1 for n in range(7) for v in range(31)} - {0}
+    built = sorted(call.args[0] for call in coefficient.call_args_list)
+    assert built == sorted(Fraction(t, 2) for t in twice_s)
 
 
 @pytest.mark.parametrize("n_max, v_max", [(-1, 3), (3, -1)])
