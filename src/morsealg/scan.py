@@ -18,9 +18,11 @@ row takes the full path and replaces the entry, so each row costs at most
 one derivation or encoding.  ``read_report`` reads the rows in one walk
 over the grid positions its bounds give, so a row at its position is
 checked against the entry in one comparison and no later pass checks the
-order.  ``scan`` keeps one entry per diagonal too, so the cells of a
-diagonal share their field objects.  The ``verify`` suite visits
-each cell once: it builds the cell's record as ``scan`` does and runs its
+order.  JSON text that re-encodes to itself byte for byte is read from one
+decoded row per diagonal instead (``canonical.read_json``); any other text
+takes the walk.  ``scan`` keeps one entry per diagonal too, so the cells of
+a diagonal share their field objects.  The ``verify`` suite visits each
+cell once: it builds the cell's record as ``scan`` does and runs its
 operator checks on the same state.
 """
 
@@ -296,9 +298,6 @@ def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
 
 
 _COLUMNS = tuple(CSV_HEADER.split(","))
-# a JSON cell also carries k0 (= ev3 / 2), right after ev3
-_K0_AT = _COLUMNS.index("ev3") + 1
-_JSON_KEYS = _COLUMNS[:_K0_AT] + ("k0",) + _COLUMNS[_K0_AT:]
 
 _Row = tuple[int, int, str, str, str, str, str, str, str, str, bool, bool, bool]
 
@@ -347,42 +346,17 @@ def write_report(report: ScanReport, format: str, path) -> None:
     limit of _json_cells, the hit test holds for fields of the types _record
     gives them: a hand-built record whose ev3 is an int, whose s is a
     float or whose flag is 1 would share the text of one with a Fraction
-    or a bool.  I/O problems surface as the interpreter's usual OSError.
+    or a bool.  canonical.write_json writes the JSON text, with the head
+    and row-tail encoders that canonical.read_json reads a text back with.
+    I/O problems surface as the interpreter's usual OSError.
     """
-    encoded: dict[int, tuple[tuple, str]] = {}
     if format == "json":
-        doc = {
-            "n_max": report.n_max,
-            "v_max": report.v_max,
-            "beta": "1",  # scans run at unit inverse width
-            "summary": {
-                "total": report.summary.total,
-                "op_class": report.summary.op_class_counts,
-                "s_sign": report.summary.sign_counts,
-                "all_equal_proper": report.summary.all_equal_proper,
-                "all_equal_trivial": report.summary.all_equal_trivial,
-                "mismatches": [list(m) for m in report.summary.mismatches],
-            },
-            "cells": [],
-        }
+        from .canonical import write_json  # only a JSON write or read compiles it
+
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            # the document without cells ends in '"cells": []\n}'
-            fh.write(json.dumps(doc, indent=1)[:-3])
-            separator = ""
-            for cell in report.cells:
-                n, v = cell.n, cell.v
-                fields = cell[2:]
-                entry = encoded.get(v - 2 * n)
-                if entry is None or entry[0] != fields:
-                    tail = _row(cell)[2:]
-                    values = tail[: _K0_AT - 2] + (str(cell.k0),) + tail[_K0_AT - 2 :]
-                    # a cell sits at depth 2; drop the tail's opening brace
-                    tail_text = json.dumps(dict(zip(_JSON_KEYS[2:], values)), indent=1)
-                    entry = encoded[v - 2 * n] = (fields, tail_text.replace("\n", "\n  ")[1:])
-                fh.write(f'{separator}\n  {{\n   "n": {n},\n   "v": {v},{entry[1]}')
-                separator = ","
-            fh.write("\n ]\n}\n" if report.cells else "]\n}\n")
+            write_json(report, fh)
     elif format == "csv":
+        encoded: dict[int, tuple[tuple, str]] = {}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             for cell in report.cells:
@@ -542,10 +516,19 @@ def read_report(path) -> ScanReport:
     order.  A JSON cell must be an object with every column, each of the
     type write_report writes, and a CSV row must have one field per column
     and an integer n and v.  Anything else raises ValueError, the first bad
-    row's before the bounds' or the grid's.
+    row's before the bounds' or the grid's.  JSON text that is exactly what
+    write_report writes for the report it holds is read without parsing
+    each cell (canonical.read_json); every other text, and every error, comes
+    from the row-by-row reader.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    if text.startswith("{"):
+        from .canonical import read_json  # only a JSON write or read compiles it
+
+        report = read_json(text)
+        if report is not None:
+            return report
     try:
         if text.lstrip().startswith("{"):
             try:
