@@ -19,7 +19,7 @@ one derivation or encoding.  ``read_report`` reads the rows in one walk
 over the grid positions its bounds give, so a row at its position is
 checked against the entry in one comparison and no later pass checks the
 order.  JSON text that re-encodes to itself byte for byte is read from one
-decoded row per diagonal instead (``canonical.read_json``); any other text
+decoded row per diagonal instead (``_canonical_json``); any other text
 takes the walk.  ``scan`` keeps one entry per diagonal too, so the cells of
 a diagonal share their field objects.  The ``verify`` suite visits each
 cell once: it builds the cell's record as ``scan`` does and runs its
@@ -34,6 +34,7 @@ import itertools
 import json
 import operator
 import os
+import re
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from typing import BinaryIO, NamedTuple, TypeVar
@@ -298,6 +299,12 @@ def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
 
 
 _COLUMNS = tuple(CSV_HEADER.split(","))
+# a JSON cell also carries k0 (= ev3 / 2), right after ev3
+_K0_AT = _COLUMNS.index("ev3") + 1
+_JSON_KEYS = _COLUMNS[:_K0_AT] + ("k0",) + _COLUMNS[_K0_AT:]
+# how each JSON cell begins, and how a JSON report with cells ends
+_JSON_CELL = '\n  {\n   "n": '
+_JSON_END = "\n ]\n}\n"
 
 _Row = tuple[int, int, str, str, str, str, str, str, str, str, bool, bool, bool]
 
@@ -326,6 +333,36 @@ def _csv_values(values: tuple) -> tuple[str, ...]:
     return tuple(("true" if x else "false") if isinstance(x, bool) else str(x) for x in values)
 
 
+def _json_head(report: ScanReport) -> str:
+    """The JSON text before the first cell: json.dumps(doc, indent=1) of the
+    document without cells, up to the opening bracket of "cells"."""
+    summary = report.summary
+    doc = {
+        "n_max": report.n_max,
+        "v_max": report.v_max,
+        "beta": "1",  # scans run at unit inverse width
+        "summary": {
+            "total": summary.total,
+            "op_class": summary.op_class_counts,
+            "s_sign": summary.sign_counts,
+            "all_equal_proper": summary.all_equal_proper,
+            "all_equal_trivial": summary.all_equal_trivial,
+            "mismatches": [list(m) for m in summary.mismatches],
+        },
+        "cells": [],
+    }
+    # the document without cells ends in '"cells": []\n}'
+    return json.dumps(doc, indent=1)[:-3]
+
+
+def _json_tail_text(cell: CellRecord) -> str:
+    """The JSON text of a cell after its "v" line, as one indented json.dumps writes it."""
+    tail = _row(cell)[2:]
+    values = tail[: _K0_AT - 2] + (str(cell.k0),) + tail[_K0_AT - 2 :]
+    # a cell sits at depth 2; drop the tail's opening brace
+    return json.dumps(dict(zip(_JSON_KEYS[2:], values)), indent=1).replace("\n", "\n  ")[1:]
+
+
 def write_report(report: ScanReport, format: str, path) -> None:
     """Persist a report as JSON (full) or CSV (fixed header, no k0 column).
 
@@ -346,17 +383,25 @@ def write_report(report: ScanReport, format: str, path) -> None:
     limit of _json_cells, the hit test holds for fields of the types _record
     gives them: a hand-built record whose ev3 is an int, whose s is a
     float or whose flag is 1 would share the text of one with a Fraction
-    or a bool.  canonical.write_json writes the JSON text, with the head
-    and row-tail encoders that canonical.read_json reads a text back with.
-    I/O problems surface as the interpreter's usual OSError.
+    or a bool.  The JSON head and row tails come from _json_head and
+    _json_tail_text, which _canonical_json reads a text back with.  I/O
+    problems surface as the interpreter's usual OSError.
     """
+    encoded: dict[int, tuple[tuple, str]] = {}
     if format == "json":
-        from .canonical import write_json  # only a JSON write or read compiles it
-
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            write_json(report, fh)
+            fh.write(_json_head(report))
+            separator = ""
+            for cell in report.cells:
+                n, v = cell.n, cell.v
+                fields = cell[2:]
+                entry = encoded.get(v - 2 * n)
+                if entry is None or entry[0] != fields:
+                    entry = encoded[v - 2 * n] = (fields, _json_tail_text(cell))
+                fh.write(f'{separator}{_JSON_CELL}{n},\n   "v": {v},{entry[1]}')
+                separator = ","
+            fh.write(_JSON_END if report.cells else "]\n}\n")
     elif format == "csv":
-        encoded: dict[int, tuple[tuple, str]] = {}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             for cell in report.cells:
@@ -492,6 +537,78 @@ def _csv_cells(lines: list[str], grid) -> tuple[list[CellRecord], bool]:
     return records, in_place
 
 
+# what read_report turns into "malformed report"
+_MALFORMED = (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError, RecursionError)
+# a bound of more digits spans more cells than any file holds
+_JSON_BOUNDS = re.compile(r'\{\n "n_max": ([0-9]{1,20}),\n "v_max": ([0-9]{1,20}),\n')
+
+
+def _decoded_json_tail(n: int, v: int, text: str) -> tuple[tuple, str] | None:
+    """The fields after n and v of cell (n, v) and their text, or None.
+
+    text is the cell's JSON after its "v" line.  It is decoded and its row
+    checked by _cell_from_row; None if it does not decode to an object
+    with every column, of the types write_report writes, or the check fails
+    or raises anything read_report reports, so the row-by-row reader gives
+    the verdict.
+    """
+    try:
+        tail = _json_tail(json.loads("{" + text))
+        if tuple(map(type, tail)) != _JSON_TYPES[2:]:
+            return None
+        cell = _cell_from_row(n, v, (n, v) + tail, tail, tuple, {})
+    except (ValueError, *_MALFORMED):
+        return None
+    return cell[2:], _json_tail_text(cell)
+
+
+def _canonical_json(text: str) -> ScanReport | None:
+    """The report that write_report writes as exactly text, or None for any other text.
+
+    The bounds are read from the head, and text must hold one cell per grid
+    position before the grid is walked.  The walk decodes the first row of
+    each diagonal v - 2n (_decoded_json_tail) and builds every other cell
+    from that row's fields.  Each cell's text, its n and v followed by the
+    text written for its diagonal, must stand at its place in text, and the
+    head written from the derived summary and the closing text must stand
+    around the cells.  So a diagonal whose rows differ, an edited summary
+    and any layout but write_report's give None.
+    """
+    bounds = _JSON_BOUNDS.match(text)
+    if bounds is None:
+        return None
+    n_max, v_max = int(bounds[1]), int(bounds[2])
+    if text.count(_JSON_CELL) != (n_max + 1) * (v_max + 1):
+        return None
+    head_end = at = text.find(_JSON_CELL)
+    kept: dict[int, tuple[tuple, str]] = {}
+    cells = []
+    separator = ""
+    for n, v in itertools.product(range(n_max + 1), range(v_max + 1)):
+        entry = kept.get(v - 2 * n)
+        if entry is None:
+            start = at + len(f'{separator}{_JSON_CELL}{n},\n   "v": {v},')
+            # the tail runs to its cell's closing brace
+            entry = _decoded_json_tail(n, v, text[start : text.find("\n  }", start) + 4])
+            if entry is None:
+                return None
+            kept[v - 2 * n] = entry
+        piece = f'{separator}{_JSON_CELL}{n},\n   "v": {v},{entry[1]}'
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+        cells.append(_sharing((n, v) + entry[0]))
+        separator = ","
+    if len(text) - at != len(_JSON_END) or not text.endswith(_JSON_END):
+        return None
+    cells = tuple(cells)
+    report = ScanReport(n_max, v_max, cells, summarize(cells))
+    head = _json_head(report)
+    if head_end != len(head) or not text.startswith(head):
+        return None
+    return report
+
+
 def _json_int(digits: str):
     """A JSON integer literal as an int, or as an exact Decimal where int() refuses its length."""
     try:
@@ -518,17 +635,14 @@ def read_report(path) -> ScanReport:
     and an integer n and v.  Anything else raises ValueError, the first bad
     row's before the bounds' or the grid's.  JSON text that is exactly what
     write_report writes for the report it holds is read without parsing
-    each cell (canonical.read_json); every other text, and every error, comes
+    each cell (_canonical_json); every other text, and every error, comes
     from the row-by-row reader.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.startswith("{"):
-        from .canonical import read_json  # only a JSON write or read compiles it
-
-        report = read_json(text)
-        if report is not None:
-            return report
+    report = _canonical_json(text)
+    if report is not None:
+        return report
     try:
         if text.lstrip().startswith("{"):
             try:
@@ -555,7 +669,7 @@ def read_report(path) -> ScanReport:
                 # the last row's own check rejects it, or the grid check the header alone
                 n_max, v_max = 0, 0
             cells, in_place = _csv_cells(lines, _grid(n_max, v_max, len(lines) - 1))
-    except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError, RecursionError) as e:
+    except _MALFORMED as e:
         raise ValueError(f"malformed report: {type(e).__name__}: {e}") from e
     if not in_place:
         raise ValueError(f"report cells do not fill the grid n <= {n_max}, v <= {v_max} in order")

@@ -56,7 +56,6 @@ from _reference import cell_eigenvalues_reference
 
 # the package's `scan` attribute is the function, so fetch the module itself
 scan_module = importlib.import_module("morsealg.scan")
-canonical = importlib.import_module("morsealg.canonical")
 
 REPORT_FIXTURES = Path(__file__).parent.parent / "perfbench" / "fixtures"
 
@@ -624,7 +623,7 @@ def _corrupted_reports(draw) -> str:
             doc[key] = draw(st.sampled_from(_ODD_VALUES))
     if fmt == "json":
         # write_report ends its text with a newline, so only a draw that
-        # adds one keeps the layout canonical.read_json reads
+        # adds one keeps the layout _canonical_json reads
         return json.dumps(doc, indent=1) + draw(st.sampled_from(["", "\n"]))
     return "\n".join([header, *(",".join(cell) for cell in cells), ""])
 
@@ -651,9 +650,11 @@ def _read_or_none(text: str):
 
 
 def _read_row_by_row(text: str) -> tuple[ScanReport | None, str | None]:
-    """_read with an empty read memo for every row: each row derived and checked on its own."""
+    """_read with an empty read memo for every row and no canonical JSON
+    path: each row derived and checked on its own."""
     cell_from_row = scan_module._cell_from_row
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan_module, "_canonical_json", lambda text: None)
         # a row that passes is remembered in a throwaway memo, so none hits
         mp.setattr(
             scan_module,
@@ -681,9 +682,9 @@ def test_corrupted_reports_are_rejected_or_read_unchanged(text):
 
 
 def _read_general(text: str) -> tuple[ScanReport | None, str | None]:
-    """_read with canonical.read_json declining every text, so every JSON text is read row by row."""
+    """_read with _canonical_json declining every text, so every JSON text takes the memo walk."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(canonical, "read_json", lambda text: None)
+        mp.setattr(scan_module, "_canonical_json", lambda text: None)
         return _read(text)
 
 
@@ -692,30 +693,12 @@ def _fixture_text(fmt: str) -> str:
     return lzma.decompress((REPORT_FIXTURES / f"report.{fmt}.xz").read_bytes()).decode("utf-8")
 
 
-@settings(max_examples=300, deadline=None)
-@given(_corrupted_reports())
-@example(_report_texts()["json"])
-def test_canonical_json_matches_the_general_reader(text):
-    # the same report, or the same first error
-    assert _read(text) == _read_general(text)
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_canonical_json_matches_the_general_reader_on_the_full_grid(fmt):
-    text = _fixture_text(fmt)
-    loaded, error = _read(text)
-    assert error is None and (loaded.n_max, loaded.v_max) == (100, 100)
-    assert (loaded, error) == _read_general(text)
-    # the JSON fixture is what write_report writes, so it takes the canonical path
-    assert canonical.read_json(text) == (loaded if fmt == "json" else None)
-
-
 def test_canonical_json_reads_only_what_write_report_writes():
     text = _report_texts()["json"]
-    assert canonical.read_json(text) == scan(3, 6)
+    assert scan_module._canonical_json(text) == scan(3, 6)
     doc = json.loads(text)
     for other in (json.dumps(doc), json.dumps(doc, indent=1), json.dumps(doc, indent=2) + "\n", text + "\n"):
-        assert canonical.read_json(other) is None
+        assert scan_module._canonical_json(other) is None
         assert _read(other) == (scan(3, 6), None)
 
 
@@ -726,7 +709,7 @@ def test_an_edited_summary_alone_still_reads_to_the_scan():
     doc["summary"]["mismatches"] = [[0, 0]]
     text = json.dumps(doc, indent=1) + "\n"
     assert text != _report_texts()["json"]
-    assert canonical.read_json(text) is None
+    assert scan_module._canonical_json(text) is None
     assert _read(text) == (report, None) == _read_general(text)
 
 
@@ -737,9 +720,9 @@ def test_a_header_claiming_a_huge_grid_is_rejected_in_bounded_time(bound):
     text = json.dumps(doc, indent=1) + "\n"
     start = time.perf_counter()
     with contextlib.ExitStack() as stack:
-        decoded = count_calls(stack, canonical._decoded_tail)
+        decoded = count_calls(stack, scan_module._decoded_json_tail)
         # the header claims more cells than the text holds, so no row is decoded
-        assert canonical.read_json(text) is None
+        assert scan_module._canonical_json(text) is None
         assert decoded.call_count == 0
     assert _read(text) == (None, f"report cells do not fill the grid n <= {bound}, v <= {bound} in order")
     assert time.perf_counter() - start < 1.0
@@ -748,17 +731,21 @@ def test_a_header_claiming_a_huge_grid_is_rejected_in_bounded_time(bound):
 @settings(max_examples=300, deadline=None)
 @given(_corrupted_reports())
 @example(_csv_prefix(1))
+@example(_report_texts()["json"])
 def test_memo_matches_row_by_row_reads(text):
-    # the same report, or the same first error
-    assert _read(text) == _read_row_by_row(text)
+    # the same report, or the same first error, with the canonical JSON
+    # path, with the memo walk alone and with each row on its own
+    assert _read(text) == _read_general(text) == _read_row_by_row(text)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_memo_matches_row_by_row_reads_on_the_full_grid(fmt):
-    text = lzma.decompress((REPORT_FIXTURES / f"report.{fmt}.xz").read_bytes()).decode("utf-8")
+    text = _fixture_text(fmt)
     loaded, error = _read(text)
     assert error is None and (loaded.n_max, loaded.v_max) == (100, 100)
-    assert (loaded, error) == _read_row_by_row(text)
+    # the JSON fixture is what write_report writes, so it takes the canonical path
+    assert scan_module._canonical_json(text) == (loaded if fmt == "json" else None)
+    assert (loaded, error) == _read_general(text) == _read_row_by_row(text)
 
 
 # in the scan(3, 6) CSV report line 0 is the header and line i holds row i:
@@ -1005,7 +992,7 @@ def test_rows_alternating_on_one_diagonal_read_and_rewrite_unchanged(tmp_path, f
     text = path.read_text(encoding="utf-8")
     assert text == _reference_text(report, fmt)
     # a diagonal whose rows differ is read row by row
-    assert canonical.read_json(text) is None
+    assert scan_module._canonical_json(text) is None
     loaded = _read_or_none(text)
     assert (loaded, None) == (report, None) == _read_row_by_row(text)
     write_report(loaded, fmt, path)
