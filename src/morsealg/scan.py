@@ -22,8 +22,9 @@ order.  JSON text that re-encodes to itself byte for byte is read from one
 decoded row per diagonal instead (``_canonical_json``); any other text
 takes the walk.  ``scan`` keeps one entry per diagonal too, so the cells of
 a diagonal share their field objects.  The ``verify`` suite visits each
-cell once: it builds the cell's record as ``scan`` does and runs its
-operator checks on the same state.
+cell once: it builds the cell's record as ``scan`` does, runs its operator
+checks on the same state and keeps only the cells that fail a check, so its
+memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -710,12 +711,14 @@ def run_invariant_suite(n_max: int, v_max: int) -> list[InvariantResult]:
     The cells are visited one v column at a time, keyed by the int
     2s = v - 2n - 1.  Each k_plus(s, v) and k_minus(s, v) is built once per
     column and serves up to three cells, and the collapsed form of the naive
-    commutator once per s.  Cells and failures are listed in (n, v) order.
+    commutator once per s.  A cell's record is checked in its visit and then
+    dropped: only the failing cells of each check are kept, and _invariant
+    names them in (n, v) order.
     """
     if n_max < 0 or v_max < 0:
         raise ValueError("n_max and v_max must be non-negative")
-    columns = []
-    schro_fail, composed_fail, naive_fail = [], [], []
+    total = (n_max + 1) * (v_max + 1)
+    schro_fail, mismatches, composed_fail, naive_fail, sign_fail = [], [], [], [], []
     composed_checked = 0
     expected = functools.cache(
         lambda t: DiffOp.multiplication(LaurentPoly({-2: naive_commutator_coefficient(Fraction(t, 2))}))
@@ -724,10 +727,13 @@ def run_invariant_suite(n_max: int, v_max: int) -> list[InvariantResult]:
         # called only within this column
         plus = functools.cache(lambda t: k_plus(Fraction(t, 2), v))
         minus = functools.cache(lambda t: k_minus(Fraction(t, 2), v))
-        column = []
         for n in range(n_max + 1):
             ev1, ev2, jet, shifted = cell_step(n, v)
-            column.append(_record(n, v, ev1, ev2))
+            cell = _record(n, v, ev1, ev2)
+            if not cell.all_equal:
+                mismatches.append((n, v))
+            if (cell.s_sign is SignClass.NON_NEGATIVE) != (v >= 2 * n + 1):
+                sign_fail.append((n, v))
             t = v - 2 * n - 1
             if not schrodinger_diff(jet[0].s, v).apply(jet).is_zero:
                 schro_fail.append((n, v))
@@ -737,17 +743,6 @@ def run_invariant_suite(n_max: int, v_max: int) -> list[InvariantResult]:
                     composed_fail.append((n, v))
             if t and commutator(plus(t), minus(t)) != expected(t):
                 naive_fail.append((n, v))
-        columns.append(column)
-    # zip(*columns) gives the rows of constant n
-    cells = tuple(cell for row in zip(*columns) for cell in row)
-    summary = summarize(cells)
-    sign_fail = [
-        (c.n, c.v)
-        for c in cells
-        if (c.s_sign is SignClass.NON_NEGATIVE) != (c.v >= 2 * c.n + 1)
-    ]
-    total = summary.total
-    mismatches = summary.mismatches
     return [
         _invariant(
             "schrodinger-annihilation",

@@ -12,6 +12,7 @@ import os
 import pstats
 import random
 import signal
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -48,8 +49,9 @@ from morsealg import (
     write_report,
 )
 from morsealg.cli import run as cli_run
+from morsealg.model import weight_exponent
 from morsealg.scan import _row
-from morsealg.spectral import cell_step
+from morsealg.spectral import cell_step, eigenvalue_three
 
 from _counting import count_calls, count_derivatives
 from _reference import cell_eigenvalues_reference
@@ -1183,6 +1185,63 @@ def test_invariant_suite_reports_a_wrong_ladder_in_grid_order(monkeypatch):
     )
     for name in ("schrodinger-annihilation", "eigenvalue-equality", "sign-boundary"):
         assert results[name].passed, name
+
+
+def test_invariant_suite_reports_wrong_signs_and_eigenvalues_in_grid_order(monkeypatch):
+    def wrong_sign(n, v):
+        return (n + 2 * v) % 7 == 3
+
+    def wrong_ev3(n, v):
+        return (2 * n + v) % 5 == 1
+
+    def flipped_weight(n, v):
+        s = weight_exponent(n, v)
+        if wrong_sign(n, v):
+            return Fraction(-1) if s >= 0 else Fraction(1)
+        return s
+
+    def shifted_ev3(n, v):
+        return eigenvalue_three(n, v) + wrong_ev3(n, v)
+
+    monkeypatch.setattr(scan_module, "weight_exponent", flipped_weight)
+    monkeypatch.setattr(scan_module, "eigenvalue_three", shifted_ev3)
+    n_max, v_max = 6, 10
+    cells = [(n, v) for n in range(n_max + 1) for v in range(v_max + 1)]
+    sign_fail = [c for c in cells if wrong_sign(*c)]
+    mismatches = [c for c in cells if wrong_ev3(*c)]
+    # column order would list these cells differently
+    for fails in (sign_fail, mismatches):
+        assert len(fails) > 5
+        assert fails[:5] != sorted(fails, key=lambda c: (c[1], c[0]))[:5]
+    results = {r.name: r for r in run_invariant_suite(n_max, v_max)}
+    equality = results["eigenvalue-equality"]
+    assert not equality.passed
+    assert equality.detail == (
+        f"{77 - len(mismatches)}/77 cells with all three eigenvalues equal" + _failing_cells(mismatches)
+    )
+    sign = results["sign-boundary"]
+    assert not sign.passed
+    assert sign.detail == "s >= 0 exactly on v >= 2n + 1" + _failing_cells(sign_fail)
+    for name in ("schrodinger-annihilation", "composed-vs-simplified", "unshifted-commutator-form"):
+        assert results[name].passed, name
+
+
+def test_invariant_suite_keeps_no_record_past_its_visit(monkeypatch):
+    records = []
+    record = scan_module._record
+
+    def kept(*args):
+        # the suite may still hold the last record while it builds the next
+        if len(records) >= 2:
+            # counted outside the assert, whose rewriting would hold it too
+            refs = sys.getrefcount(records[-2])
+            assert refs == 2  # the list and the argument
+        records.append(record(*args))
+        return records[-1]
+
+    monkeypatch.setattr(scan_module, "_record", kept)
+    assert all(r.passed for r in run_invariant_suite(4, 8))
+    assert len(records) == 45
 
 
 @pytest.mark.parametrize(
