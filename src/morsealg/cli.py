@@ -203,7 +203,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = run_invariant_suite(args.n_max, args.v_max)
     failed = False
     for r in results:
-        tag = "PASS" if r.passed else "FAIL"
+        # a check that ran on no cell is neither passed nor failed
+        tag = "FAIL" if not r.passed else "PASS" if r.checked else "SKIP"
         failed = failed or not r.passed
         print(f"{tag} {r.name}: {r.detail}")
     return 1 if failed else 0

@@ -38,6 +38,7 @@ import os
 import re
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, NamedTuple, TypeVar
 
 from .functions import LaurentPoly
@@ -356,12 +357,29 @@ def _json_head(report: ScanReport) -> str:
     return json.dumps(doc, indent=1)[:-3]
 
 
-def _json_tail_text(cell: CellRecord) -> str:
-    """The JSON text of a cell after its "v" line, as one indented json.dumps writes it."""
-    tail = _row(cell)[2:]
-    values = tail[: _K0_AT - 2] + (str(cell.k0),) + tail[_K0_AT - 2 :]
-    # a cell sits at depth 2; drop the tail's opening brace
-    return json.dumps(dict(zip(_JSON_KEYS[2:], values)), indent=1).replace("\n", "\n  ")[1:]
+# how each JSON column after n and v begins its line in a cell, at depth 2
+_JSON_TAIL_KEYS = tuple(f'\n   "{key}": ' for key in _JSON_KEYS[2:])
+
+
+def _json_value(x) -> str:
+    """x as json.dumps writes it within a document: a string escaped by
+    encode_basestring_ascii, True and False (by identity, as 1 == True) as
+    true and false, and any other value, such as a hand-built record's int
+    flag or float s, by json.dumps itself."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is True or x is False:
+        return "true" if x else "false"
+    return json.dumps(x)
+
+
+def _json_tail_text(tail: tuple, k0: str) -> str:
+    """The JSON text of a cell after its "v" line, from its row after n and v
+    (_row(cell)[2:]) and the text of its k0: the lines json.dump(doc,
+    indent=1) gives the cell, built without the indent encoder, which is
+    pure Python."""
+    values = tail[: _K0_AT - 2] + (k0,) + tail[_K0_AT - 2 :]
+    return ",".join([key + _json_value(x) for key, x in zip(_JSON_TAIL_KEYS, values)]) + "\n  }"
 
 
 def write_report(report: ScanReport, format: str, path) -> None:
@@ -384,8 +402,9 @@ def write_report(report: ScanReport, format: str, path) -> None:
     limit of _json_cells, the hit test holds for fields of the types _record
     gives them: a hand-built record whose ev3 is an int, whose s is a
     float or whose flag is 1 would share the text of one with a Fraction
-    or a bool.  The JSON head and row tails come from _json_head and
-    _json_tail_text, which _canonical_json reads a text back with.  I/O
+    or a bool.  The JSON head is one indented json.dumps (_json_head); each
+    row tail is built in the same layout by _json_tail_text, which runs no
+    indent encoder, and _canonical_json reads a text back with both.  I/O
     problems surface as the interpreter's usual OSError.
     """
     encoded: dict[int, tuple[tuple, str]] = {}
@@ -398,7 +417,7 @@ def write_report(report: ScanReport, format: str, path) -> None:
                 fields = cell[2:]
                 entry = encoded.get(v - 2 * n)
                 if entry is None or entry[0] != fields:
-                    entry = encoded[v - 2 * n] = (fields, _json_tail_text(cell))
+                    entry = encoded[v - 2 * n] = (fields, _json_tail_text(_row(cell)[2:], str(cell.k0)))
                 fh.write(f'{separator}{_JSON_CELL}{n},\n   "v": {v},{entry[1]}')
                 separator = ","
             fh.write(_JSON_END if report.cells else "]\n}\n")
@@ -560,7 +579,8 @@ def _decoded_json_tail(n: int, v: int, text: str) -> tuple[tuple, str] | None:
         cell = _cell_from_row(n, v, (n, v) + tail, tail, tuple, {})
     except (ValueError, *_MALFORMED):
         return None
-    return cell[2:], _json_tail_text(cell)
+    # _cell_from_row proved tail equal to _row(cell)[2:]
+    return cell[2:], _json_tail_text(tail, str(cell.k0))
 
 
 def _canonical_json(text: str) -> ScanReport | None:
@@ -679,21 +699,26 @@ def read_report(path) -> ScanReport:
 
 
 class InvariantResult(NamedTuple):
-    """One check of the verify suite: its name, verdict and detail text;
-    an immutable NamedTuple, like CellRecord."""
+    """One check of the verify suite: its name, verdict, detail text and
+    the number of cells it ran on; an immutable NamedTuple, like CellRecord.
+    A check that ran on no cell has no failures, so it is passed, but
+    `verify` reports it as skipped, not as a pass."""
 
     name: str
     passed: bool
     detail: str
+    checked: int
 
 
-def _invariant(name: str, failures: Sequence[tuple[int, int]], detail: str) -> InvariantResult:
-    """The result of one check, naming up to five of its failing cells."""
+def _invariant(
+    name: str, failures: Sequence[tuple[int, int]], checked: int, detail: str
+) -> InvariantResult:
+    """The result of one check on `checked` cells, naming up to five of its failing cells."""
     if failures:
         shown = ", ".join(f"({n},{v})" for n, v in sorted(failures)[:5])
         more = "" if len(failures) <= 5 else f" and {len(failures) - 5} more"
         detail += f"; failing cells: {shown}{more}"
-    return InvariantResult(name, not failures, detail)
+    return InvariantResult(name, not failures, detail, checked)
 
 
 def run_invariant_suite(n_max: int, v_max: int) -> list[InvariantResult]:
@@ -719,7 +744,7 @@ def run_invariant_suite(n_max: int, v_max: int) -> list[InvariantResult]:
         raise ValueError("n_max and v_max must be non-negative")
     total = (n_max + 1) * (v_max + 1)
     schro_fail, mismatches, composed_fail, naive_fail, sign_fail = [], [], [], [], []
-    composed_checked = 0
+    composed_checked = naive_checked = 0
     expected = functools.cache(
         lambda t: DiffOp.multiplication(LaurentPoly({-2: naive_commutator_coefficient(Fraction(t, 2))}))
     )
@@ -741,29 +766,40 @@ def run_invariant_suite(n_max: int, v_max: int) -> list[InvariantResult]:
                 composed_checked += 1
                 if _shifted_commutator(plus(t + 2), minus(t), minus(t - 2), plus(t)) != shifted:
                     composed_fail.append((n, v))
-            if t and commutator(plus(t), minus(t)) != expected(t):
-                naive_fail.append((n, v))
+            if t:
+                naive_checked += 1
+                if commutator(plus(t), minus(t)) != expected(t):
+                    naive_fail.append((n, v))
+    # only n_max = 0, v_max <= 3 has no cell with |s| > 1
+    agreed = (
+        f"{composed_checked - len(composed_fail)}/{composed_checked} cells agree termwise"
+        if composed_checked
+        else "no cell has |s| > 1"
+    )
     return [
         _invariant(
             "schrodinger-annihilation",
             schro_fail,
+            total,
             f"{total - len(schro_fail)}/{total} states annihilated exactly",
         ),
         _invariant(
             "eigenvalue-equality",
             mismatches,
+            total,
             f"{total - len(mismatches)}/{total} cells with all three eigenvalues equal",
         ),
         _invariant(
             "composed-vs-simplified",
             composed_fail,
-            f"{composed_checked - len(composed_fail)}/{composed_checked} cells agree termwise"
-            f" ({total - composed_checked} cells with |s| <= 1 skipped)",
+            composed_checked,
+            f"{agreed} ({total - composed_checked} cells with |s| <= 1 skipped)",
         ),
         _invariant(
             "unshifted-commutator-form",
             naive_fail,
+            naive_checked,
             "collapses to its 1/y^2 multiplication form on every s != 0 cell",
         ),
-        _invariant("sign-boundary", sign_fail, "s >= 0 exactly on v >= 2n + 1"),
+        _invariant("sign-boundary", sign_fail, total, "s >= 0 exactly on v >= 2n + 1"),
     ]

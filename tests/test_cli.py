@@ -389,6 +389,29 @@ def test_verify_small_grid():
     )
 
 
+@pytest.mark.parametrize("v_max", [0, 1, 2, 3])
+def test_verify_skips_a_check_on_no_cell(v_max):
+    # on n = 0, v <= 3 every cell has |s| <= 1, so the composed form is
+    # checked on no cell: that check is skipped, not passed, and verify still
+    # exits 0
+    code, out, _ = _run(["verify", "--n-max", "0", "--v-max", str(v_max)])
+    assert code == 0
+    cells = v_max + 1
+    assert out.splitlines()[2] == (
+        f"SKIP composed-vs-simplified: no cell has |s| > 1 ({cells} cells with |s| <= 1 skipped)"
+    )
+    tags = [line.split(" ", 1)[0] for line in out.splitlines()]
+    assert tags == ["PASS", "PASS", "SKIP", "PASS", "PASS"]
+
+
+@pytest.mark.parametrize("n_max, v_max", [(0, 4), (1, 0)])
+def test_verify_passes_a_check_on_one_cell(n_max, v_max):
+    code, out, _ = _run(["verify", "--n-max", str(n_max), "--v-max", str(v_max)])
+    assert code == 0
+    assert "PASS composed-vs-simplified: 1/1 cells agree termwise" in out
+    assert "SKIP" not in out
+
+
 def test_physical_output():
     code, out, _ = _run(
         ["physical", "--v0", "0.5", "--beta", "1", "--mass", "1", "--hbar", "1"]

@@ -50,7 +50,7 @@ from morsealg import (
 )
 from morsealg.cli import run as cli_run
 from morsealg.model import weight_exponent
-from morsealg.scan import _row
+from morsealg.scan import _JSON_KEYS, _K0_AT, _row
 from morsealg.spectral import cell_step, eigenvalue_three
 
 from _counting import count_calls, count_derivatives
@@ -1007,24 +1007,59 @@ def test_write_report_encodes_each_distinct_row_tail_once(monkeypatch, tmp_path,
     path = tmp_path / f"report.{fmt}"
     path.write_bytes(fixture)
     report = read_report(path)
-    # an indented JSON dump encodes the key "all_equal" once per encoded
-    # cell; a CSV tail is converted by _csv_values
-    module, name = (json.encoder, "encode_basestring_ascii") if fmt == "json" else (scan_module, "_csv_values")
-    encode = getattr(module, name)
+    # a JSON tail is encoded by _json_tail_text, a CSV tail converted by _csv_values
+    name = "_json_tail_text" if fmt == "json" else "_csv_values"
+    encode = getattr(scan_module, name)
     tails = []
 
-    def counting(x):
-        if fmt == "csv" or x == "all_equal":
-            tails.append(x)
-        return encode(x)
+    def counting(*args):
+        tails.append(args)
+        return encode(*args)
 
-    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(scan_module, name, counting)
     write_report(report, fmt, path)
     monkeypatch.undo()
     # v - 2n takes 301 values on the 101 x 101 grid
     assert len(report.cells) == 101 * 101
     assert 0 < len(tails) <= 301
     assert path.read_bytes() == fixture
+
+
+def _indented_json_tail_text(tail: tuple, k0: str) -> str:
+    """A cell's text after its "v" line as one indented json.dumps of the cell writes it."""
+    values = tail[: _K0_AT - 2] + (k0,) + tail[_K0_AT - 2 :]
+    return json.dumps(dict(zip(_JSON_KEYS[2:], values)), indent=1).replace("\n", "\n  ")[1:]
+
+
+def _status_rows():
+    """Row tails with each eigenvalue status, a radical and an imaginary
+    eigenvalue, and hand-built records and tails of other types."""
+    cell = compute_cell(3, 7)
+    radical = RadicalScalar.parse("i*2*sqrt(3)")
+    records = [
+        cell._replace(ev1=EigenResult(cell.ev1.value, status), ev2=EigenResult(radical, status))
+        for status in EigenStatus
+    ]
+    records.append(cell._replace(ev1=EigenResult(RadicalScalar.parse("1/4*sqrt(6)"), EigenStatus.PROPER)))
+    # a hand-built record: int flags, a float s (which _row writes as text)
+    records.append(cell._replace(s=2.5, equal_12=1, equal_13=0, all_equal=1))
+    tails = [(_row(c)[2:], str(c.k0)) for c in records]
+    # values that only a hand-built row holds go through json.dumps
+    tail = _row(cell)[2:]
+    tails.append(((2.5, None, 10**30, "caf\u00e9 \"q\"\\", *tail[4:-3], 1, 0.0, -1), "-1/2"))
+    return tails
+
+
+def test_json_tail_text_matches_an_indented_json_dumps():
+    fixture = lzma.decompress((REPORT_FIXTURES / "report.json.xz").read_bytes())
+    cells = scan_module._canonical_json(fixture.decode("utf-8")).cells
+    distinct = {(_row(c)[2:], str(c.k0)) for c in cells}
+    # v - 2n takes 301 values on the 101 x 101 grid
+    assert len(distinct) == 301
+    rows = _status_rows()
+    assert {"TrivialZero", "NotEigenfunction", "OperatorUndefined"} <= {t[4] for t, _ in rows}
+    for tail, k0 in [*distinct, *rows]:
+        assert scan_module._json_tail_text(tail, k0) == _indented_json_tail_text(tail, k0), tail
 
 
 def test_write_report_derives_k0_once_per_distinct_row_tail(monkeypatch, tmp_path):
@@ -1123,6 +1158,9 @@ def test_invariant_suite_passes_on_small_grid():
     ]
     for r in results:
         assert r.passed, (r.name, r.detail)
+    # the composed form skips the 25 cells with |s| <= 1, the unshifted
+    # form the 5 with s = 0 (v = 2n + 1)
+    assert [r.checked for r in results] == [77, 77, 52, 72, 77]
 
 
 def test_invariant_suite_names_failing_cells(monkeypatch):
