@@ -56,7 +56,6 @@ from .spectral import (
     EigenStatus,
     LadderOutcome,
     ZeroStateError,
-    cell_eigenvalues,
     eigenvalue_composed,
     eigenvalue_three,
     extract_eigenvalue,
@@ -88,7 +87,6 @@ __all__ = [
     "UndefinedOperatorError",
     "WeightedFunction",
     "ZeroStateError",
-    "cell_eigenvalues",
     "commutator",
     "compute_cell",
     "eigenvalue_composed",

@@ -6,25 +6,18 @@ how the work was scheduled.  A scan on more than one process forks its
 shares with os.fork and reads each child's cells back, pickled, through a
 pipe (``_in_processes``).
 
-A cell's row is defined once.  ``_record`` derives every field from (n, v)
-and the two computed eigenvalues, ``_row`` lays the fields out in
-CSV_HEADER order for both report formats, and ``read_report`` rebuilds rows
-through ``_record`` and rejects a file whose rows or grid differ from what
-``write_report`` would write.  Every column after n and v depends on a cell
-only through v - 2n and its two eigenvalues, so both keep one memo entry
-per diagonal v - 2n: a row whose columns after n and v equal its entry's is
-neither derived again on read nor encoded again on write, and any other
-row takes the full path and replaces the entry, so each row costs at most
-one derivation or encoding.  ``read_report`` reads the rows in one walk
-over the grid positions its bounds give, so a row at its position is
-checked against the entry in one comparison and no later pass checks the
-order.  JSON text that re-encodes to itself byte for byte is read from one
-decoded row per diagonal instead (``_canonical_json``); any other text
-takes the walk.  ``scan`` keeps one entry per diagonal too, so the cells of
-a diagonal share their field objects.  The ``verify`` suite visits each
-cell once: it builds the cell's record as ``scan`` does, runs its operator
-checks on the same state and keeps only the cells that fail a check, so its
-memory does not grow with the grid.
+A cell's row is defined once: ``_record`` derives every field from (n, v)
+and the two computed eigenvalues, and ``_row`` lays them out in CSV_HEADER
+order for both report formats.  The text around a row is defined once too:
+``_LAYOUTS`` holds each format's text before n, between n and v, after the
+row tail and between cells.  ``write_report`` writes every cell through it
+in one loop, and the row-by-row reader (``read_report``) and the reader of
+JSON text that re-encodes to itself (``_canonical_json``) compare each row
+with the text it gives.  Every column after n and v depends on a cell only
+through v - 2n and its two eigenvalues, so the writer, both readers and
+``scan`` keep one memo entry per diagonal.  The ``verify`` suite visits each
+cell once and keeps only the cells that fail a check, so its memory does not
+grow with the grid.
 """
 
 from __future__ import annotations
@@ -54,7 +47,7 @@ from .operators import (
     schrodinger_diff,
 )
 from .scalars import RadicalScalar
-from .spectral import EigenResult, EigenStatus, cell_eigenvalues, cell_step, eigenvalue_three
+from .spectral import EigenResult, EigenStatus, cell_step, eigenvalue_three
 
 
 class SignClass(enum.Enum):
@@ -146,7 +139,7 @@ _sharing = functools.partial(tuple.__new__, CellRecord)
 
 def compute_cell(n: int, v: int) -> CellRecord:
     """Classify cell (n, v) and compare its three eigenvalue computations."""
-    return _record(n, v, *cell_eigenvalues(n, v))
+    return _record(n, v, *cell_step(n, v)[:2])
 
 
 def summarize(cells: tuple[CellRecord, ...]) -> Summary:
@@ -291,9 +284,12 @@ def scan(n_max: int, v_max: int, workers: int | None = None) -> ScanReport:
     others (where the platform has no fork, this process computes them all
     in turn).  Row n is row n // workers of share n % workers, so the cells
     are reassembled in (n, v) order and the result is identical either way.
+    workers=None runs serially; workers below 1 raises ValueError.
     """
     if n_max < 0 or v_max < 0:
         raise ValueError("n_max and v_max must be non-negative")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be at least 1")
     workers = min(workers or 1, n_max + 1, _usable_cpus() or 1)
     shares = _in_processes(functools.partial(_rows, v_max=v_max), _deal(n_max, workers))
     cells = tuple(c for n in range(n_max + 1) for c in shares[n % workers][n // workers])
@@ -304,9 +300,12 @@ _COLUMNS = tuple(CSV_HEADER.split(","))
 # a JSON cell also carries k0 (= ev3 / 2), right after ev3
 _K0_AT = _COLUMNS.index("ev3") + 1
 _JSON_KEYS = _COLUMNS[:_K0_AT] + ("k0",) + _COLUMNS[_K0_AT:]
-# how each JSON cell begins, and how a JSON report with cells ends
-_JSON_CELL = '\n  {\n   "n": '
+# how a JSON report with cells ends
 _JSON_END = "\n ]\n}\n"
+# each format's (before, between, after, separator): a cell's text is
+# f"{before}{n}{between}{v},{tail}{after}", where tail is the text of its
+# row after n and v, and the separator stands between two cells
+_LAYOUTS = {"json": ('\n  {\n   "n": ', ',\n   "v": ', "", ","), "csv": ("", ",", "\n", "")}
 
 _Row = tuple[int, int, str, str, str, str, str, str, str, str, bool, bool, bool]
 
@@ -386,54 +385,36 @@ def write_report(report: ScanReport, format: str, path) -> None:
     """Persist a report as JSON (full) or CSV (fixed header, no k0 column).
 
     The bytes are those of json.dump(doc, indent=1) + "\n" and of the CSV
-    header plus one comma-joined row per cell.  The columns after n and v
-    depend on a cell only through v - 2n and its two eigenvalues, so the
-    text of a row tail (every column after n and v) is kept per diagonal:
-    the memo maps v - 2n to the fields after n and v of the last cell
-    encoded there and their text.  A cell whose fields equal the entry's
-    is written as its own n and v followed by that text, without _row; any
-    other cell is encoded through _row and replaces the entry, so a
-    diagonal whose rows alternate encodes each of them, at most one _row
-    per cell.  The records read_report builds share their field objects,
-    and so do the cells one scan process computes on a diagonal, so for
-    them the comparison ends on identity.  The JSON k0 column is
-    derived only on encoding: k0 is ev3 / 2 and str(Fraction) is
-    canonical, so an equal ev3 means an equal k0.  Like the 1 == True
-    limit of _json_cells, the hit test holds for fields of the types _record
-    gives them: a hand-built record whose ev3 is an int, whose s is a
-    float or whose flag is 1 would share the text of one with a Fraction
-    or a bool.  The JSON head is one indented json.dumps (_json_head); each
-    row tail is built in the same layout by _json_tail_text, which runs no
-    indent encoder, and _canonical_json reads a text back with both.  I/O
+    header plus one comma-joined row per cell: the format's head, each cell
+    laid out by _LAYOUTS, then the format's end.  A row tail is encoded
+    again only when its fields differ from those last encoded on its
+    diagonal v - 2n.  That test holds for fields of the types _record gives
+    them: a hand-built record whose ev3 is an int, whose s is a float or
+    whose flag is 1 would share the text of one with a Fraction or a bool.
+    An unknown format raises ValueError before the file is opened; I/O
     problems surface as the interpreter's usual OSError.
     """
-    encoded: dict[int, tuple[tuple, str]] = {}
-    if format == "json":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_json_head(report))
-            separator = ""
-            for cell in report.cells:
-                n, v = cell.n, cell.v
-                fields = cell[2:]
-                entry = encoded.get(v - 2 * n)
-                if entry is None or entry[0] != fields:
-                    entry = encoded[v - 2 * n] = (fields, _json_tail_text(_row(cell)[2:], str(cell.k0)))
-                fh.write(f'{separator}{_JSON_CELL}{n},\n   "v": {v},{entry[1]}')
-                separator = ","
-            fh.write(_JSON_END if report.cells else "]\n}\n")
-    elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for cell in report.cells:
-                n, v = cell.n, cell.v
-                fields = cell[2:]
-                entry = encoded.get(v - 2 * n)
-                if entry is None or entry[0] != fields:
-                    tail_text = ",".join(_csv_values(_row(cell)[2:]))
-                    entry = encoded[v - 2 * n] = (fields, tail_text)
-                fh.write(f"{n},{v},{entry[1]}\n")
-    else:
+    if format not in _LAYOUTS:
         raise ValueError(f"unknown report format: {format!r}")
+    before, between, after, separator = _LAYOUTS[format]
+    if format == "json":
+        head, end = _json_head(report), _JSON_END if report.cells else "]\n}\n"
+        encode = lambda cell: _json_tail_text(_row(cell)[2:], str(cell.k0))  # noqa: E731
+    else:
+        head, end = CSV_HEADER + "\n", ""
+        encode = lambda cell: ",".join(_csv_values(_row(cell)[2:]))  # noqa: E731
+    encoded: dict[int, tuple[tuple, str]] = {}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        sep = ""
+        for cell in report.cells:
+            n, v = cell.n, cell.v
+            entry = encoded.get(v - 2 * n)
+            if entry is None or entry[0] != cell[2:]:
+                entry = encoded[v - 2 * n] = (cell[2:], encode(cell))
+            fh.write(f"{sep}{before}{n}{between}{v},{entry[1]}{after}")
+            sep = separator
+        fh.write(end)
 
 
 def _cell_from_row(
@@ -530,18 +511,20 @@ def _csv_cells(lines: list[str], grid) -> tuple[list[CellRecord], bool]:
     and whether each sat at its grid position.
 
     grid gives the rows' positions (n, v) in order, as _grid does, or is
-    None.  A row at its position is a memo hit when it is n and v, as
-    write_report writes them, followed by its diagonal's entry's text after
-    the second comma.  Any other row must have one field per column and an
+    None.  A row at its position is a memo hit when it is the text
+    write_report writes there (_LAYOUTS) for its diagonal's entry's text
+    after the second comma, without the newline.  Any other row must have one field per column and an
     integer n and v, and is rebuilt by _cell_from_row.
     """
+    # a line is a cell's text without the newline after it
+    before, between = _LAYOUTS["csv"][:2]
     checked: dict[int, tuple] = {}
     records = []
     in_place = grid is not None
     # the header, line 0, has one field per column, so line i is row i
     for i, (ln, at) in enumerate(zip(lines[1:], grid or itertools.repeat(None)), 1):
         known = at and checked.get(at[1] - 2 * at[0])
-        if known and ln == f"{at[0]},{at[1]},{known[0]}":
+        if known and ln == f"{before}{at[0]}{between}{at[1]},{known[0]}":
             records.append(_sharing(at + known[1]))
             continue
         if ln.count(",") != len(_COLUMNS) - 1:
@@ -589,43 +572,43 @@ def _canonical_json(text: str) -> ScanReport | None:
     The bounds are read from the head, and text must hold one cell per grid
     position before the grid is walked.  The walk decodes the first row of
     each diagonal v - 2n (_decoded_json_tail) and builds every other cell
-    from that row's fields.  Each cell's text, its n and v followed by the
-    text written for its diagonal, must stand at its place in text, and the
-    head written from the derived summary and the closing text must stand
-    around the cells.  So a diagonal whose rows differ, an edited summary
-    and any layout but write_report's give None.
+    from that row's fields.  Each cell's text, laid out by _LAYOUTS around
+    its n, v and the tail text written for its diagonal, must stand at its
+    place in text, and the head written from the derived summary and the
+    closing text must stand around the cells.  So a diagonal whose rows
+    differ, an edited summary and any layout but write_report's give None.
     """
+    before, between, after, separator = _LAYOUTS["json"]
     bounds = _JSON_BOUNDS.match(text)
     if bounds is None:
         return None
     n_max, v_max = int(bounds[1]), int(bounds[2])
-    if text.count(_JSON_CELL) != (n_max + 1) * (v_max + 1):
+    if text.count(before) != (n_max + 1) * (v_max + 1):
         return None
-    head_end = at = text.find(_JSON_CELL)
+    head_end = at = text.find(before)
     kept: dict[int, tuple[tuple, str]] = {}
     cells = []
-    separator = ""
+    sep = ""
     for n, v in itertools.product(range(n_max + 1), range(v_max + 1)):
+        lead = f"{sep}{before}{n}{between}{v},"
         entry = kept.get(v - 2 * n)
         if entry is None:
-            start = at + len(f'{separator}{_JSON_CELL}{n},\n   "v": {v},')
-            # the tail runs to its cell's closing brace
-            entry = _decoded_json_tail(n, v, text[start : text.find("\n  }", start) + 4])
+            # the tail runs from the end of lead to its cell's closing brace
+            entry = _decoded_json_tail(n, v, text[at + len(lead) : text.find("\n  }", at) + 4])
             if entry is None:
                 return None
             kept[v - 2 * n] = entry
-        piece = f'{separator}{_JSON_CELL}{n},\n   "v": {v},{entry[1]}'
+        piece = f"{lead}{entry[1]}{after}"
         if not text.startswith(piece, at):
             return None
         at += len(piece)
         cells.append(_sharing((n, v) + entry[0]))
-        separator = ","
-    if len(text) - at != len(_JSON_END) or not text.endswith(_JSON_END):
+        sep = separator
+    if text[at:] != _JSON_END:
         return None
     cells = tuple(cells)
     report = ScanReport(n_max, v_max, cells, summarize(cells))
-    head = _json_head(report)
-    if head_end != len(head) or not text.startswith(head):
+    if text[:head_end] != _json_head(report):
         return None
     return report
 

@@ -94,6 +94,13 @@ def cell_step(
 ) -> tuple[EigenResult, EigenResult, tuple[WeightedFunction, ...], DiffOp]:
     """ev1 and ev2 of the (n, v) state, the jet they share and ev1's operator.
 
+    ev1 is the action of the closed-form shifted commutator: TrivialZero
+    exactly on the s = 0 cells, where that operator vanishes identically;
+    elsewhere Proper(2n - v + 1).  ev2 is the doubled action of the diagonal
+    operator, reported on the same scale; that operator is never the zero
+    operator, so at s = 0, where its eigenvalue is 0, ev2 is Proper(0), not
+    TrivialZero.
+
     The state is built afresh, without a normalization constant, and its
     first and second derivatives are taken once; the two operators are
     still built and applied separately.  The jet (f, f', f'') and the
@@ -108,20 +115,6 @@ def cell_step(
     if ev2.status is EigenStatus.PROPER:
         ev2 = EigenResult(ev2.value * 2, EigenStatus.PROPER)
     return ev1, ev2, jet, shifted
-
-
-def cell_eigenvalues(n: int, v: int) -> tuple[EigenResult, EigenResult]:
-    """ev1 and ev2 of the (n, v) state, sharing one jet (see cell_step).
-
-    ev1 is the action of the closed-form shifted commutator: TrivialZero
-    exactly on the s = 0 cells, where that operator vanishes identically;
-    elsewhere Proper(2n - v + 1).  ev2 is the doubled action of the diagonal
-    operator, reported on the same scale; that operator is never the zero
-    operator, so at s = 0, where its eigenvalue is 0, ev2 is Proper(0), not
-    TrivialZero.
-    """
-    ev1, ev2, _, _ = cell_step(n, v)
-    return ev1, ev2
 
 
 def eigenvalue_three(n: int, v: int) -> Fraction:

@@ -37,7 +37,8 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize(
-    "name", ["QuantumNumbers", "make_quantum_numbers", "eigenvalue_one", "eigenvalue_two"]
+    "name",
+    ["QuantumNumbers", "make_quantum_numbers", "eigenvalue_one", "eigenvalue_two", "cell_eigenvalues"],
 )
 def test_removed_names_stay_removed(name):
     assert not hasattr(morsealg, name)

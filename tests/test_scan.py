@@ -303,6 +303,14 @@ def test_pool_size_is_capped_before_any_process_starts(
     assert report == scan(n_max, 2)
 
 
+@pytest.mark.parametrize("workers", [-1, 0])
+def test_scan_rejects_workers_below_one(forks, workers):
+    # as the CLI rejects --threads below 1; workers=None runs serially
+    with pytest.raises(ValueError, match="^workers must be at least 1$"):
+        scan(2, 2, workers=workers)
+    assert forks == []
+
+
 @pytest.mark.parametrize("cpus, processes", [(2, 2), (8, 3)])
 def test_pool_size_falls_back_to_the_host_cpu_count(monkeypatch, forks, cpus, processes):
     # a platform without an affinity call caps the processes by the host's
@@ -750,6 +758,21 @@ def test_memo_matches_row_by_row_reads_on_the_full_grid(fmt):
     assert (loaded, error) == _read_general(text) == _read_row_by_row(text)
 
 
+@pytest.mark.parametrize(
+    "fmt, newlines",
+    [("json", "\r\n"), ("csv", "\r\n"), ("csv", "\n\n")],
+    ids=["json-crlf", "csv-crlf", "csv-blank-lines"],
+)
+def test_full_grid_copies_with_other_newlines_read_to_the_fixtures_report(fmt, newlines):
+    # a report is read with universal newlines, and a CSV reader skips
+    # blank lines, so a CRLF copy of either fixture, and a CSV copy with a
+    # blank line after every line, read as the fixture does
+    text = _fixture_text(fmt)
+    loaded, error = _read(text)
+    assert error is None and (loaded.n_max, loaded.v_max) == (100, 100)
+    assert _read(text.replace("\n", newlines)) == (loaded, None)
+
+
 # in the scan(3, 6) CSV report line 0 is the header and line i holds row i:
 # rows 4 and 5 are cells (0, 3) and (0, 4), row 12 is cell (1, 4)
 @pytest.mark.parametrize(
@@ -1125,6 +1148,8 @@ def test_csv_layout(tmp_path):
 def test_write_report_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_report(scan(0, 0), "xml", tmp_path / "x")
+    # the format is checked before the file is opened
+    assert not (tmp_path / "x").exists()
 
 
 def test_write_report_propagates_io_errors(tmp_path):
