@@ -13,9 +13,12 @@ order for both report formats.  The text around a row is defined once too:
 row tail and between cells.  ``write_report`` writes every cell through it
 in one loop, and the row-by-row reader (``read_report``) and the reader of
 JSON text that re-encodes to itself (``_canonical_json``) compare each row
-with the text it gives.  Every column after n and v depends on a cell only
-through v - 2n and its two eigenvalues, so the writer, both readers and
-``scan`` keep one memo entry per diagonal.  The ``verify`` suite visits each
+with the text it gives.  Every JSON row that is decoded, the first on each
+diagonal on the canonical path included, is checked and rebuilt by one
+walker, ``_json_cells``, and every CSV row by ``_csv_cells``; both rebuild
+a cell through ``_cell_from_row``.  Every column after n and v depends on a
+cell only through v - 2n and its two eigenvalues, so the writer, both
+readers and ``scan`` keep one memo entry per diagonal.  The ``verify`` suite visits each
 cell once and keeps only the cells that fail a check, so its memory does not
 grow with the grid.
 """
@@ -417,6 +420,13 @@ def write_report(report: ScanReport, format: str, path) -> None:
         fh.write(end)
 
 
+def _shown(*values) -> str:
+    """The values' reprs, comma-separated, each cut after 40 characters, as
+    RadicalScalar.parse cuts the text it names: a reader's error message
+    quotes values from an untrusted report."""
+    return ", ".join(r if len(r) <= 40 else f"{r[:40]}..." for r in map(repr, values))
+
+
 def _cell_from_row(
     n: int,
     v: int,
@@ -446,10 +456,10 @@ def _cell_from_row(
         ev1 = EigenResult(RadicalScalar.parse(ev1), EigenStatus(ev1_status))
         ev2 = EigenResult(RadicalScalar.parse(ev2), EigenStatus(ev2_status))
     except ValueError:
-        raise ValueError(f"report row for cell ({n}, {v}) stores a malformed eigenvalue") from None
+        raise ValueError(f"report row for cell ({_shown(n, v)}) stores a malformed eigenvalue") from None
     cell = _record(n, v, ev1, ev2)
     if written(_row(cell)) != stored:
-        raise ValueError(f"inconsistent report row for cell ({n}, {v})")
+        raise ValueError(f"inconsistent report row for cell ({_shown(n, v)})")
     checked[v - 2 * n] = (tail, cell[2:])
     return cell
 
@@ -499,7 +509,7 @@ def _json_cells(cells: list, grid) -> tuple[list[CellRecord], bool]:
             records.append(_sharing(at + known[1]))
             continue
         if tuple(map(type, (n, v) + tail)) != _JSON_TYPES:
-            raise ValueError(f"report row for cell ({n!r}, {v!r}) stores a value of the wrong type")
+            raise ValueError(f"report row for cell ({_shown(n, v)}) stores a value of the wrong type")
         in_place = in_place and (n, v) == at
         # JSON stores the row values as they are
         records.append(_cell_from_row(n, v, (n, v) + tail, tail, tuple, checked))
@@ -533,7 +543,7 @@ def _csv_cells(lines: list[str], grid) -> tuple[list[CellRecord], bool]:
         try:
             n, v = int(n_text), int(v_text)
         except ValueError:
-            nv = f"{n_text!r}, {v_text!r}"
+            nv = _shown(n_text, v_text)
             raise ValueError(f"report row {i} stores n and v as {nv}, not integers") from None
         in_place = in_place and (n, v) == at
         records.append(_cell_from_row(n, v, tuple(ln.split(",")), tail, _csv_values, checked))
@@ -546,37 +556,22 @@ _MALFORMED = (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowEr
 _JSON_BOUNDS = re.compile(r'\{\n "n_max": ([0-9]{1,20}),\n "v_max": ([0-9]{1,20}),\n')
 
 
-def _decoded_json_tail(n: int, v: int, text: str) -> tuple[tuple, str] | None:
-    """The fields after n and v of cell (n, v) and their text, or None.
-
-    text is the cell's JSON after its "v" line.  It is decoded and its row
-    checked by _cell_from_row; None if it does not decode to an object
-    with every column, of the types write_report writes, or the check fails
-    or raises anything read_report reports, so the row-by-row reader gives
-    the verdict.
-    """
-    try:
-        tail = _json_tail(json.loads("{" + text))
-        if tuple(map(type, tail)) != _JSON_TYPES[2:]:
-            return None
-        cell = _cell_from_row(n, v, (n, v) + tail, tail, tuple, {})
-    except (ValueError, *_MALFORMED):
-        return None
-    # _cell_from_row proved tail equal to _row(cell)[2:]
-    return cell[2:], _json_tail_text(tail, str(cell.k0))
-
-
 def _canonical_json(text: str) -> ScanReport | None:
     """The report that write_report writes as exactly text, or None for any other text.
 
     The bounds are read from the head, and text must hold one cell per grid
-    position before the grid is walked.  The walk decodes the first row of
-    each diagonal v - 2n (_decoded_json_tail) and builds every other cell
-    from that row's fields.  Each cell's text, laid out by _LAYOUTS around
-    its n, v and the tail text written for its diagonal, must stand at its
-    place in text, and the head written from the derived summary and the
-    closing text must stand around the cells.  So a diagonal whose rows
-    differ, an edited summary and any layout but write_report's give None.
+    position before the grid is walked.  The walk decodes the object of the
+    first cell of each diagonal v - 2n, from its opening brace to its
+    closing one, checks it and builds its record with _json_cells, as the
+    row-by-row reader does, and builds every other cell on the diagonal from
+    that record's fields.  Each cell's text, laid out by _LAYOUTS around its
+    n, v and the tail text written for its diagonal, must stand at its place
+    in text, so the decoded n and v are the cell's grid position; the head
+    written from the derived summary and the closing text must stand around
+    the cells.  So a diagonal whose rows differ, an edited summary, a
+    repeated key and any layout but write_report's give None, as does a
+    first cell that _json_cells rejects: the row-by-row reader then gives
+    the verdict.
     """
     before, between, after, separator = _LAYOUTS["json"]
     bounds = _JSON_BOUNDS.match(text)
@@ -593,11 +588,14 @@ def _canonical_json(text: str) -> ScanReport | None:
         lead = f"{sep}{before}{n}{between}{v},"
         entry = kept.get(v - 2 * n)
         if entry is None:
-            # the tail runs from the end of lead to its cell's closing brace
-            entry = _decoded_json_tail(n, v, text[at + len(lead) : text.find("\n  }", at) + 4])
-            if entry is None:
+            # the cell's object runs from its opening brace to its closing one
+            try:
+                row = json.loads(text[at + len(sep) + before.index("{") : text.find("\n  }", at) + 4])
+                (cell,), _ = _json_cells([row], None)
+            except (ValueError, *_MALFORMED):
                 return None
-            kept[v - 2 * n] = entry
+            # _json_cells proved the row's tail equal to _row(cell)[2:]
+            entry = kept[v - 2 * n] = (cell[2:], _json_tail_text(_json_tail(row), str(cell.k0)))
         piece = f"{lead}{entry[1]}{after}"
         if not text.startswith(piece, at):
             return None
@@ -640,7 +638,8 @@ def read_report(path) -> ScanReport:
     row's before the bounds' or the grid's.  JSON text that is exactly what
     write_report writes for the report it holds is read without parsing
     each cell (_canonical_json); every other text, and every error, comes
-    from the row-by-row reader.
+    from the row-by-row reader.  An error quotes at most 40 characters of
+    each value it names from the report (_shown).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -661,7 +660,7 @@ def read_report(path) -> ScanReport:
             cells, in_place = _json_cells(rows, _grid(n_max, v_max, len(rows)))
             n_max, v_max = doc["n_max"], doc["v_max"]
             if type(n_max) is not int or type(v_max) is not int:
-                raise ValueError(f"report bounds are not integers: {n_max!r}, {v_max!r}")
+                raise ValueError(f"report bounds are not integers: {_shown(n_max, v_max)}")
         else:
             lines = [ln for ln in text.split("\n") if ln]
             del text
@@ -676,7 +675,8 @@ def read_report(path) -> ScanReport:
     except _MALFORMED as e:
         raise ValueError(f"malformed report: {type(e).__name__}: {e}") from e
     if not in_place:
-        raise ValueError(f"report cells do not fill the grid n <= {n_max}, v <= {v_max} in order")
+        bounds = f"n <= {_shown(n_max)}, v <= {_shown(v_max)}"
+        raise ValueError(f"report cells do not fill the grid {bounds} in order")
     cells = tuple(cells)
     return ScanReport(n_max, v_max, cells, summarize(cells))
 

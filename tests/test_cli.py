@@ -437,6 +437,12 @@ def test_physical_level_beyond_float_range_is_not_bound():
     assert err.startswith("error: level n=1000") and "not bound" in err
 
 
+def test_physical_rejects_a_negative_level():
+    code, out, err = _run(["physical", "--v0", "1", "--beta", "1", "--mass", "1", "--hbar", "1", "--n", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: n must be non-negative\n"
+
+
 def test_physical_rejects_bad_constants():
     code, _, _ = _run(
         ["physical", "--v0", "-1", "--beta", "1", "--mass", "1", "--hbar", "1"]

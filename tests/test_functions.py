@@ -270,6 +270,12 @@ def test_coefficients_are_radical_scalars():
     assert p * p == LaurentPoly({0: Fraction(-1, 4), 3: 3, 6: -9})
 
 
+@pytest.mark.parametrize("bound", ["min_exponent", "max_exponent"])
+def test_zero_polynomial_has_no_exponents(bound):
+    with pytest.raises(ValueError, match="no exponents"):
+        getattr(LaurentPoly.zero(), bound)
+
+
 def test_multi_term_coefficient_raises():
     # a two-term coefficient such as 1 + sqrt(2) cannot be formed: the sum itself
     # raises before any polynomial entry point sees it

@@ -132,6 +132,12 @@ def test_normalization_undefined_on_factorial_pole():
     assert normalization(0, 0) is None
 
 
+@pytest.mark.parametrize("n, v", [(-1, 3), (3, -1)])
+def test_normalization_rejects_negative_indices(n, v):
+    with pytest.raises(ValueError, match="non-negative"):
+        normalization(n, v)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 40), st.integers(0, 40))
 def test_normalization_defined_exactly_on_ladder_domain(n, v):
@@ -199,6 +205,12 @@ def test_physical_map_rejects_a_level_beyond_float_range(v0, beta, mass, error, 
     params = PhysicalParams(v0=v0, beta=beta, mass=mass, hbar=1.0)
     with pytest.raises(error, match=message):
         physical_map(params, 10**400)
+
+
+def test_physical_map_rejects_a_negative_level():
+    with pytest.raises(ValueError, match="n must be non-negative") as exc:
+        physical_map(PhysicalParams(v0=1.0, beta=1.0, mass=1.0, hbar=1.0), -1)
+    assert not isinstance(exc.value, NonBoundError)
 
 
 def test_physical_map_rejects_bad_constants():

@@ -415,6 +415,8 @@ def test_naive_commutator_zero_cases():
 def test_naive_commutator_undefined_at_zero():
     with pytest.raises(UndefinedOperatorError):
         naive_commutator(Fraction(0), 3)
+    with pytest.raises(UndefinedOperatorError):
+        naive_commutator_coefficient(Fraction(0))
 
 
 def test_naive_coefficient_matches_closed_form_for_large_positive_s():
@@ -444,6 +446,8 @@ def test_operator_rendering():
 def test_rejects_negative_order():
     with pytest.raises(ValueError):
         DiffOp({-1: LaurentPoly.one()})
+    with pytest.raises(ValueError, match="non-negative"):
+        DiffOp.derivative(-1)
 
 
 @settings(max_examples=50, deadline=None)

@@ -730,12 +730,43 @@ def test_a_header_claiming_a_huge_grid_is_rejected_in_bounded_time(bound):
     text = json.dumps(doc, indent=1) + "\n"
     start = time.perf_counter()
     with contextlib.ExitStack() as stack:
-        decoded = count_calls(stack, scan_module._decoded_json_tail)
+        decoded = count_calls(stack, scan_module._json_cells)
         # the header claims more cells than the text holds, so no row is decoded
         assert scan_module._canonical_json(text) is None
         assert decoded.call_count == 0
     assert _read(text) == (None, f"report cells do not fill the grid n <= {bound}, v <= {bound} in order")
     assert time.perf_counter() - start < 1.0
+
+
+# cell (0, 0) is the first on its diagonal, so the canonical walk decodes
+# its object; a repeated key decodes to its last value
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"equal_12": true', '"equal_12": 1'),
+        ('"n": 0,', '"n": 5,\n   "n": 0,'),
+        ('"all_equal": true\n', '"all_equal": true,\n   "n": 1\n'),
+    ],
+    ids=["flag-as-int", "n-repeated-before", "n-repeated-after"],
+)
+def test_a_first_cell_the_canonical_walk_cannot_take_gets_the_row_by_row_verdict(old, new):
+    text = _report_texts()["json"].replace(old, new, 1)
+    assert text != _report_texts()["json"]
+    with contextlib.ExitStack() as stack:
+        checked = count_calls(stack, scan_module._json_cells)
+        assert scan_module._canonical_json(text) is None
+        assert checked.call_count == 1
+    assert _read(text) == _read_row_by_row(text)
+
+
+def test_the_canonical_walk_checks_each_diagonals_first_cell_through_json_cells():
+    text = _report_texts()["json"]
+    with contextlib.ExitStack() as stack:
+        checked = count_calls(stack, scan_module._json_cells)
+        assert scan_module._canonical_json(text) == scan(3, 6)
+        # scan(3, 6) has v - 2n from -6 to 6
+        assert checked.call_count == 13
+        assert all(call.args[1] is None and len(call.args[0]) == 1 for call in checked.call_args_list)
 
 
 @settings(max_examples=300, deadline=None)
@@ -914,6 +945,82 @@ def test_read_report_rejects_json_bounds_of_another_type(tmp_path, bounds):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="not integers"):
         read_report(path)
+
+
+def _csv_with_first_row(**values: str) -> str:
+    """The CSV report of scan(3, 6) with the named columns of its first row, cell (0, 0), replaced."""
+    lines = _report_texts()["csv"].split("\n")
+    row = dict(zip(CSV_HEADER.split(","), lines[1].split(",")))
+    row.update(values)
+    lines[1] = ",".join(row.values())
+    return "\n".join(lines)
+
+
+# a value json.dumps writes as a string, replaced by a 5 000-digit number,
+# which is longer than int() reads, so the reader takes it as a Decimal
+_NUMBER = "<number>"
+
+
+def _json_with(cell: dict | None = None, **bounds) -> str:
+    """The JSON report of scan(3, 6), compact, with cell (0, 0)'s and the
+    bounds' named values replaced."""
+    doc = json.loads(_report_texts()["json"])
+    doc.update(bounds)
+    doc["cells"][0].update(cell or {})
+    return json.dumps(doc).replace(json.dumps(_NUMBER), "7" * 5000)
+
+
+# repr cuts 40 characters: a quote or "Decimal('" and then the digits
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            _csv_with_first_row(n="7" * 5000),
+            f"report row 1 stores n and v as '{'7' * 39}..., '0', not integers",
+        ),
+        (
+            _csv_with_first_row(n="7" * 4000),
+            f"inconsistent report row for cell ({'7' * 40}..., 0)",
+        ),
+        (
+            _csv_with_first_row(n="7" * 4000, ev1="abc"),
+            f"report row for cell ({'7' * 40}..., 0) stores a malformed eigenvalue",
+        ),
+        (
+            _json_with({"n": "7" * 5000}),
+            f"report row for cell ('{'7' * 39}..., 0) stores a value of the wrong type",
+        ),
+        (
+            _json_with({"n": _NUMBER}),
+            f"report row for cell (Decimal('{'7' * 31}..., 0) stores a value of the wrong type",
+        ),
+        (
+            _json_with(n_max="7" * 5000),
+            f"report bounds are not integers: '{'7' * 39}..., 6",
+        ),
+        (
+            _json_with(n_max=_NUMBER),
+            f"report bounds are not integers: Decimal('{'7' * 31}..., 6",
+        ),
+        (
+            _json_with(n_max=int("7" * 4000)),
+            f"report cells do not fill the grid n <= {'7' * 40}..., v <= 6 in order",
+        ),
+    ],
+    ids=[
+        "csv-n-5000-chars",
+        "csv-n-4000-digits",
+        "csv-n-4000-digits-malformed-ev1",
+        "json-n-5000-chars",
+        "json-n-5000-digits",
+        "json-n_max-5000-chars",
+        "json-n_max-5000-digits",
+        "json-n_max-4000-digits",
+    ],
+)
+def test_a_reader_error_quotes_at_most_40_characters_of_each_value(text, message):
+    assert _read(text) == (None, message)
+    assert len(message.encode()) < 200
 
 
 def test_read_report_parses_each_distinct_row_once(monkeypatch, tmp_path):
